@@ -201,6 +201,15 @@ const PROVIDER_ID_ALLOW: &[(&str, &str)] = &[
         "crates/check/src/lint.rs",
         "this linter pulls the authoritative provider-name list from the registry",
     ),
+    (
+        "perfbench/src/dpor.rs",
+        "the wall-clock benchmark's DPOR workload names its fixed check set by registry id",
+    ),
+    (
+        "perfbench/src/llsc.rs",
+        "the wall-clock benchmark's LL/SC mix names its fixed provider set by registry id; \
+         all dispatch is with_provider!",
+    ),
 ];
 
 /// R5: pass-through writers of an artifact whose schema is declared where

@@ -109,11 +109,10 @@ fn run_one<P: Provider>(
     let mut ctx0 = P::ctx(&mut tc0);
     // Construction runs on the controller thread, where no yield-point
     // hook is installed, so none of these accesses become schedule steps.
-    let d = LlxDomain::new_flawed(
+    // One mutable field (the counter) and no meta words per record.
+    let d = LlxDomain::<_, 1, 0>::new_flawed(
         n,
         program.records,
-        1,
-        0,
         || P::var(&env, 0).expect("provider var"),
         &mut ctx0,
         flaw,

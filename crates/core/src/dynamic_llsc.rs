@@ -31,6 +31,10 @@
 //! state, once left, can never recur (its `seq` is spent). So the cell a
 //! successful CAS publishes is never concurrently overwritten, and a
 //! *failed* CAS means the write went into a cell nothing points to.
+//! A process may hold several keeps on one variable (LLX/SCX does); an
+//! SC through a keep older than the process's last SC on the variable
+//! first checks that `X` does not name its target cell, and fails if it
+//! does, so the rule holds per keep, not only per process.
 //! Retiring a slot and re-joining it later preserves this: the rule is
 //! about which cell `X` names *now*, not about who owned it when.
 //!
@@ -353,8 +357,21 @@ impl<W: MemWord> LlScVar for DynamicVar<W> {
         let (a, b) = Self::own_cells(ctx.p);
         // The two-cell rule: write the own cell the keep does not name.
         // X can only currently name an own cell if the keep names it too
-        // (see the module docs), so the target is never the live cell.
+        // (see the module docs), so the target is never the live cell —
+        // for one sequence at a time. A process holding several keeps on
+        // this variable may have installed the target through another
+        // one since this keep's LL: then X != keep, the SC fails, and the
+        // write must not land on the live cell. Only this process
+        // installs its own cells, so the check cannot go stale. Either
+        // outcome of the check fails this SC or writes a cell X does not
+        // name, so the read is a peek, not a schedule point: one sequence
+        // per process never takes the early exit, and model checking
+        // explores exactly the schedules it did without the check.
         let target = if idx_of(k) == a { b } else { a };
+        if idx_of(self.x.peek()) == target {
+            nbsp_telemetry::record(nbsp_telemetry::Event::ScFail);
+            return false;
+        }
         self.cells[target].store(new);
         // The value must be durable before X can name it.
         self.cells[target].flush();

@@ -15,6 +15,13 @@
 //! Unlike the tag-based constructions, this implements Figure 2 exactly:
 //! SC fails **only** when a successful SC intervened (per-process `valid`
 //! bits), values occupy a full 64-bit word, and there is no tag to wrap.
+//!
+//! Figure 2 has one `valid` bit per process, so a process's second LL on a
+//! variable revalidates its first sequence. The registry interface
+//! ([`LlScVar`](crate::LlScVar)) instead gives every caller-held keep its
+//! own sequence, as the paper's Figure 4 does ([`LockLlSc::ll_keep`]): a
+//! keep records the count of successful SCs its LL saw and stays valid
+//! while that count stands — Figure 2's `valid[p]`, per keep.
 
 use std::sync::Mutex;
 
@@ -49,6 +56,9 @@ struct State {
     value: u64,
     /// Figure 2's `valid_X[0..N-1]`.
     valid: Vec<bool>,
+    /// Successful SCs so far; a keep is valid while this equals the count
+    /// its LL saw.
+    scs: u64,
 }
 
 impl LockLlSc {
@@ -64,6 +74,7 @@ impl LockLlSc {
             state: Mutex::new(State {
                 value: initial,
                 valid: vec![false; n],
+                scs: 0,
             }),
         }
     }
@@ -129,12 +140,43 @@ impl LockLlSc {
         let mut g = self.state.lock().unwrap();
         self.check(p, g.valid.len());
         if g.valid[p.index()] {
-            g.value = v;
-            g.valid.fill(false);
+            g.store_conditional(v);
             true
         } else {
             false
         }
+    }
+
+    /// LL for a caller-held keep: returns the value and the keep — the
+    /// number of successful SCs so far. Sets no `valid` bit, so a
+    /// process may hold any number of independent sequences. A `Write`
+    /// access for the model checker, like [`LockLlSc::ll`], so both forms
+    /// explore the same schedules.
+    #[must_use]
+    pub fn ll_keep(&self) -> (u64, u64) {
+        self.hook(AccessKind::Write);
+        let g = self.state.lock().unwrap();
+        (g.value, g.scs)
+    }
+
+    /// VL for a keep from [`LockLlSc::ll_keep`]: no successful SC since.
+    #[must_use]
+    pub fn vl_keep(&self, keep: u64) -> bool {
+        self.hook(AccessKind::Read);
+        self.state.lock().unwrap().scs == keep
+    }
+
+    /// SC for a keep from [`LockLlSc::ll_keep`]: stores `v` iff no
+    /// successful SC intervened, invalidating every other sequence.
+    #[must_use]
+    pub fn sc_keep(&self, keep: u64, v: u64) -> bool {
+        self.hook(AccessKind::Write);
+        let mut g = self.state.lock().unwrap();
+        let ok = g.scs == keep;
+        if ok {
+            g.store_conditional(v);
+        }
+        ok
     }
 
     /// Figure 2's `CAS(X, v, w)` as an atomic fragment. Note that per the
@@ -157,6 +199,15 @@ impl LockLlSc {
     pub fn read(&self) -> u64 {
         self.hook(AccessKind::Read);
         self.state.lock().unwrap().value
+    }
+}
+
+impl State {
+    /// A successful SC: store, and end every open sequence of either form.
+    fn store_conditional(&mut self, v: u64) {
+        self.value = v;
+        self.valid.fill(false);
+        self.scs += 1;
     }
 }
 
@@ -243,6 +294,22 @@ mod tests {
             }
         });
         assert_eq!(v.read(), 20_000);
+    }
+
+    #[test]
+    fn keeps_are_independent_sequences() {
+        let v = LockLlSc::new(1, 0);
+        let (_, stale) = v.ll_keep();
+        let p = ProcId::new(0);
+        let x = v.ll(p);
+        assert!(v.sc(p, x + 1));
+        // A later LL through another keep leaves the stale one stale.
+        let (x, fresh) = v.ll_keep();
+        assert!(!v.vl_keep(stale));
+        assert!(!v.sc_keep(stale, 7));
+        assert!(v.sc_keep(fresh, x + 1));
+        assert!(!v.sc_keep(fresh, 9), "a keep commits at most once");
+        assert_eq!(v.read(), 2);
     }
 
     #[test]

@@ -78,6 +78,16 @@ pub trait LlScVar: Send + Sync {
 
     /// Largest value this variable can store.
     fn max_val(&self) -> u64;
+
+    /// Whether every keep is an independent LL–SC sequence: an `ll` on
+    /// one keep leaves every other open keep on the same variable exactly
+    /// as it was. The paper's caller-held keeps (Figure 4 and everything
+    /// built like it) have this property. A construction that stores one
+    /// reservation per (process, variable) does not: a second `ll` by the
+    /// same process revalidates the first sequence, whose `sc` can then
+    /// commit against a stale read. Multi-word LLX/SCX holds several keeps
+    /// on one word at once, so `nbsp-llx` refuses variables without it.
+    const INDEPENDENT_KEEPS: bool = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -374,28 +384,28 @@ impl LlScVar for ConstantVar<Native> {
 // Figure 2 lock baseline.
 // ---------------------------------------------------------------------------
 
-/// For the baselines the keep is implicit in the variable (per-process
-/// valid bits / keep slots); the generic keep only tracks whether a
-/// sequence was started, to keep `vl`/`sc` total.
+/// Each keep is its own sequence ([`LockLlSc::ll_keep`]), not Figure 2's
+/// per-process `valid` bit.
 impl LlScVar for LockLlSc {
-    type Keep = bool;
+    type Keep = Option<u64>;
     type Ctx<'a> = ProcId;
 
-    fn ll(&self, ctx: &mut ProcId, keep: &mut bool) -> u64 {
-        *keep = true;
-        LockLlSc::ll(self, *ctx)
+    fn ll(&self, _ctx: &mut ProcId, keep: &mut Option<u64>) -> u64 {
+        let (value, k) = self.ll_keep();
+        *keep = Some(k);
+        value
     }
 
-    fn vl(&self, ctx: &mut ProcId, keep: &bool) -> bool {
-        *keep && LockLlSc::vl(self, *ctx)
+    fn vl(&self, _ctx: &mut ProcId, keep: &Option<u64>) -> bool {
+        keep.is_some_and(|k| self.vl_keep(k))
     }
 
-    fn sc(&self, ctx: &mut ProcId, keep: &mut bool, new: u64) -> bool {
-        std::mem::take(keep) && LockLlSc::sc(self, *ctx, new)
+    fn sc(&self, _ctx: &mut ProcId, keep: &mut Option<u64>, new: u64) -> bool {
+        keep.take().is_some_and(|k| self.sc_keep(k, new))
     }
 
-    fn cl(&self, _ctx: &mut ProcId, keep: &mut bool) {
-        *keep = false;
+    fn cl(&self, _ctx: &mut ProcId, keep: &mut Option<u64>) {
+        *keep = None;
     }
 
     fn read(&self, _ctx: &mut ProcId) -> u64 {
@@ -411,9 +421,16 @@ impl LlScVar for LockLlSc {
 // Keep-search ablations.
 // ---------------------------------------------------------------------------
 
+/// The keep is implicit in the variable (a per-process keep slot); the
+/// generic keep only tracks whether a sequence was started, to keep
+/// `vl`/`sc` total.
 impl LlScVar for PerVarKeepVar {
     type Keep = bool;
     type Ctx<'a> = ProcId;
+
+    /// One kept word per (process, variable): a process's second `ll`
+    /// overwrites the word its first sequence kept.
+    const INDEPENDENT_KEEPS: bool = false;
 
     fn ll(&self, ctx: &mut ProcId, keep: &mut bool) -> u64 {
         *keep = true;
@@ -444,6 +461,10 @@ impl LlScVar for PerVarKeepVar {
 impl LlScVar for RegistryKeepVar {
     type Keep = bool;
     type Ctx<'a> = ProcId;
+
+    /// One kept word per (process, variable): a process's second `ll`
+    /// overwrites the word its first sequence kept.
+    const INDEPENDENT_KEEPS: bool = false;
 
     fn ll(&self, ctx: &mut ProcId, keep: &mut bool) -> u64 {
         *keep = true;

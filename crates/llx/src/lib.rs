@@ -57,6 +57,17 @@
 //! counters only grow). Violating it makes a stalled helper's late CAS
 //! indistinguishable from a fresh one — the classic ABA the version field
 //! excludes for the `info` words.
+//!
+//! ## Independent keeps
+//!
+//! A process holds one open keep per linked record, and help-on-read
+//! re-LLs `info` words of records the helper may itself have linked. That
+//! is only sound when every keep is its own LL–SC sequence, as the
+//! paper's caller-held keeps are: a provider that keeps one reservation
+//! per (process, variable) lets the helper's `ll` silently revalidate the
+//! owner's stale keep, and the owner's fast-path SC then freezes a record
+//! that moved. [`LlxDomain`] checks [`LlScVar::INDEPENDENT_KEEPS`] at
+//! construction and refuses such providers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -67,13 +78,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use nbsp_core::{Backoff, CachePadded, LlScVar};
 use nbsp_telemetry::{record, Event};
 
-/// Maximum records one SCX may link (`|V|`). Three is the deepest any
-/// shipped structure needs (external-BST delete links grandparent,
-/// parent, leaf); the fourth slot is margin for experiments.
+/// Maximum records one SCX may link (`|V|`). The external-BST delete
+/// links four (grandparent, parent, leaf, sibling), the most any shipped
+/// structure needs.
 pub const MAX_V: usize = 4;
 
 /// Maximum mutable fields per record (an external BST needs two: left and
-/// right child).
+/// right child). A domain's field count `F` is checked against it at
+/// compile time.
 pub const MAX_FIELDS: usize = 4;
 
 /// Descriptor states, packed into the low two bits of the state word.
@@ -200,13 +212,15 @@ impl LlxSnapshot {
     }
 }
 
-/// One record: an `info` word coordinating freeze/finalize, `fields`
-/// mutable only through SCX, and immutable-after-alloc `meta` words
-/// (keys, payload values) in plain atomics.
-struct Record<V: LlScVar> {
+/// One record: an `info` word coordinating freeze/finalize, `F` fields
+/// mutable only through SCX, and `M` immutable-after-alloc `meta` words
+/// (keys, payload values) in plain atomics. One fixed-shape value stored
+/// inline in the arena: no per-record heap block, and a descent step
+/// touches one place in memory.
+struct Record<V: LlScVar, const F: usize, const M: usize> {
     info: V,
-    fields: Box<[V]>,
-    meta: Box<[AtomicU64]>,
+    fields: [V; F],
+    meta: [AtomicU64; M],
 }
 
 /// Per-process SCX descriptor payload — the Figure-6 announce row. Plain
@@ -339,16 +353,18 @@ fn state_of(w: u64) -> u64 {
 /// coordination words built by one `make_var` closure — provider-generic
 /// exactly like [`Set`](../nbsp_structures/struct.Set.html).
 ///
+/// Every record has the same shape, fixed by the type: `F` SCX-mutable
+/// fields (`1..=MAX_FIELDS`) and `M` immutable meta words.
+///
 /// ```
 /// use nbsp_core::{CasLlSc, Native, TagLayout};
 /// use nbsp_llx::{LlxDomain, LlxOutcome};
 ///
 /// let mut ctx = Native;
-/// let d = LlxDomain::new(
-///     2,  // processes
-///     8,  // record budget
-///     1,  // mutable fields per record
-///     1,  // immutable meta words per record
+/// // One mutable field and one meta word per record.
+/// let d: LlxDomain<_, 1, 1> = LlxDomain::new(
+///     2, // processes
+///     8, // record budget
 ///     || CasLlSc::new_native(TagLayout::half(), 0).unwrap(),
 ///     &mut ctx,
 /// );
@@ -356,15 +372,14 @@ fn state_of(w: u64) -> u64 {
 /// let h = d.llx(&mut ctx, r).expect_linked("fresh");
 /// assert_eq!(h.field(0), 7);
 /// // SCX as process 0: V = {r}, finalize nothing, write field 0.
-/// assert!(d.scx(&mut ctx, 0, vec![h], 0, r, 0, 8));
+/// assert!(d.scx(&mut ctx, 0, [h], 0, r, 0, 8));
 /// let h = d.llx(&mut ctx, r).expect_linked("still live");
 /// assert_eq!(h.field(0), 8);
 /// d.unlink(&mut ctx, h);
 /// ```
-pub struct LlxDomain<V: LlScVar> {
+pub struct LlxDomain<V: LlScVar, const F: usize, const M: usize> {
     n: usize,
-    fields_per_record: usize,
-    recs: Box<[Record<V>]>,
+    recs: Box<[Record<V, F, M>]>,
     bump: AtomicUsize,
     descs: Box<[CachePadded<Desc>]>,
     states: Box<[CachePadded<V>]>,
@@ -373,46 +388,38 @@ pub struct LlxDomain<V: LlScVar> {
     flaw: Flaw,
 }
 
-impl<V: LlScVar> fmt::Debug for LlxDomain<V> {
+impl<V: LlScVar, const F: usize, const M: usize> fmt::Debug for LlxDomain<V, F, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LlxDomain")
             .field("n", &self.n)
             .field("capacity", &self.recs.len())
-            .field("fields_per_record", &self.fields_per_record)
+            .field("fields_per_record", &F)
+            .field("meta_words", &M)
             .finish_non_exhaustive()
     }
 }
 
-impl<V: LlScVar> LlxDomain<V> {
+impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
     /// Builds a domain for `n` processes with a lifetime budget of
-    /// `capacity` records, each carrying `fields_per_record` SCX-mutable
-    /// fields and `meta_words` immutable-after-alloc words. All LL/SC
-    /// words come from `make_var`; `ctx` is any operation context (used
-    /// only to zero-initialize, the construction is single-threaded).
+    /// `capacity` records, each carrying `F` SCX-mutable fields and `M`
+    /// immutable-after-alloc words. All LL/SC words come from `make_var`;
+    /// `ctx` is any operation context (used only to zero-initialize, the
+    /// construction is single-threaded).
     ///
     /// # Panics
     ///
-    /// Panics if `fields_per_record > MAX_FIELDS` or the variable's value
-    /// width cannot fit the info layout (needs `9 + ⌈log₂(n+1)⌉` bits
-    /// plus at least 8 version bits).
+    /// Panics if the provider's keeps are not independent
+    /// ([`LlScVar::INDEPENDENT_KEEPS`], module docs) or the variable's
+    /// value width cannot fit the info layout (needs `9 + ⌈log₂(n+1)⌉`
+    /// bits plus at least 8 version bits).
     #[must_use]
     pub fn new(
         n: usize,
         capacity: usize,
-        fields_per_record: usize,
-        meta_words: usize,
         mut make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
     ) -> Self {
-        Self::build(
-            n,
-            capacity,
-            fields_per_record,
-            meta_words,
-            &mut make_var,
-            ctx,
-            Flaw::None,
-        )
+        Self::build(n, capacity, &mut make_var, ctx, Flaw::None)
     }
 
     /// A deliberately broken domain for the model checker's planted-bug
@@ -422,42 +429,37 @@ impl<V: LlScVar> LlxDomain<V> {
     pub fn new_flawed(
         n: usize,
         capacity: usize,
-        fields_per_record: usize,
-        meta_words: usize,
         mut make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
         flaw: Flaw,
     ) -> Self {
-        Self::build(
-            n,
-            capacity,
-            fields_per_record,
-            meta_words,
-            &mut make_var,
-            ctx,
-            flaw,
-        )
+        Self::build(n, capacity, &mut make_var, ctx, flaw)
     }
 
     fn build(
         n: usize,
         capacity: usize,
-        fields_per_record: usize,
-        meta_words: usize,
         make_var: &mut dyn FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
         flaw: Flaw,
     ) -> Self {
+        const {
+            assert!(
+                F >= 1 && F <= MAX_FIELDS,
+                "an LLX record has 1..=MAX_FIELDS mutable fields"
+            );
+        }
         assert!(n >= 1, "at least one process");
         assert!(
-            (1..=MAX_FIELDS).contains(&fields_per_record),
-            "fields_per_record must be in 1..={MAX_FIELDS}"
+            V::INDEPENDENT_KEEPS,
+            "llx needs independent keeps: this provider keeps one LL-SC \
+             sequence per (process, variable)"
         );
-        let recs: Box<[Record<V>]> = (0..capacity)
+        let recs: Box<[Record<V, F, M>]> = (0..capacity)
             .map(|_| Record {
                 info: make_var(),
-                fields: (0..fields_per_record).map(|_| make_var()).collect(),
-                meta: (0..meta_words).map(|_| AtomicU64::new(0)).collect(),
+                fields: std::array::from_fn(|_| make_var()),
+                meta: std::array::from_fn(|_| AtomicU64::new(0)),
             })
             .collect();
         let states: Box<[CachePadded<V>]> =
@@ -468,7 +470,6 @@ impl<V: LlScVar> LlxDomain<V> {
         let layout = InfoLayout::new(n, probe_max);
         let d = LlxDomain {
             n,
-            fields_per_record,
             recs,
             bump: AtomicUsize::new(0),
             descs: (0..n).map(|_| CachePadded::new(Desc::new())).collect(),
@@ -479,7 +480,7 @@ impl<V: LlScVar> LlxDomain<V> {
         };
         for r in d.recs.iter() {
             d.force_store(ctx, &r.info, 0);
-            for f in r.fields.iter() {
+            for f in &r.fields {
                 d.force_store(ctx, f, 0);
             }
         }
@@ -489,9 +490,14 @@ impl<V: LlScVar> LlxDomain<V> {
         d
     }
 
-    /// Single-threaded unconditional store (construction / allocation
-    /// only — the records involved are unpublished).
+    /// Single-threaded store to an unpublished word (construction /
+    /// allocation only): nothing when the word already holds `value` —
+    /// a fresh arena record's fields are zero from construction — else an
+    /// LL/SC retry loop.
     fn force_store(&self, ctx: &mut V::Ctx<'_>, var: &V, value: u64) {
+        if var.read(ctx) == value {
+            return;
+        }
         let mut keep = V::Keep::default();
         loop {
             let _ = var.ll(ctx, &mut keep);
@@ -505,12 +511,6 @@ impl<V: LlScVar> LlxDomain<V> {
     #[must_use]
     pub fn processes(&self) -> usize {
         self.n
-    }
-
-    /// Mutable fields per record.
-    #[must_use]
-    pub fn fields_per_record(&self) -> usize {
-        self.fields_per_record
     }
 
     /// Records still available in the lifetime budget.
@@ -536,31 +536,18 @@ impl<V: LlScVar> LlxDomain<V> {
     ///
     /// [`LlxError::Full`] when the lifetime budget is exhausted (records
     /// are never reclaimed — the workspace-wide arena discipline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `meta` or `fields` mismatch the domain's per-record
-    /// shape.
     pub fn alloc(
         &self,
         ctx: &mut V::Ctx<'_>,
-        meta: &[u64],
-        fields: &[u64],
+        meta: &[u64; M],
+        fields: &[u64; F],
     ) -> Result<usize, LlxError> {
-        assert_eq!(fields.len(), self.fields_per_record, "field count");
         let idx = self.bump.fetch_add(1, Ordering::Relaxed);
         if idx >= self.recs.len() {
             self.bump.store(self.recs.len(), Ordering::Relaxed);
             return Err(LlxError::Full);
         }
-        let rec = &self.recs[idx];
-        assert_eq!(meta.len(), rec.meta.len(), "meta count");
-        for (slot, &m) in rec.meta.iter().zip(meta) {
-            slot.store(m, Ordering::Release);
-        }
-        for (f, &init) in rec.fields.iter().zip(fields) {
-            self.force_store(ctx, f, init);
-        }
+        self.reinit(ctx, idx, meta, fields);
         Ok(idx)
     }
 
@@ -569,14 +556,8 @@ impl<V: LlScVar> LlxDomain<V> {
     /// its freshly allocated records, so a retry may repurpose them
     /// instead of burning more of the lifetime budget. Calling this on a
     /// reachable record is a protocol violation (it bypasses SCX).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, as [`LlxDomain::alloc`].
-    pub fn reinit(&self, ctx: &mut V::Ctx<'_>, rec: usize, meta: &[u64], fields: &[u64]) {
-        assert_eq!(fields.len(), self.fields_per_record, "field count");
+    pub fn reinit(&self, ctx: &mut V::Ctx<'_>, rec: usize, meta: &[u64; M], fields: &[u64; F]) {
         let r = &self.recs[rec];
-        assert_eq!(meta.len(), r.meta.len(), "meta count");
         for (slot, &m) in r.meta.iter().zip(meta) {
             slot.store(m, Ordering::Release);
         }
@@ -605,9 +586,10 @@ impl<V: LlScVar> LlxDomain<V> {
     /// [`LlxOutcome::Finalized`] if the record was finalized.
     pub fn llx(&self, ctx: &mut V::Ctx<'_>, rec: usize) -> LlxOutcome<V> {
         let mut backoff = Backoff::new();
+        let r = &self.recs[rec];
         loop {
             let mut keep = V::Keep::default();
-            let info = &self.recs[rec].info;
+            let info = &r.info;
             let w = info.ll(ctx, &mut keep);
             if self.layout.finalized(w) {
                 info.cl(ctx, &mut keep);
@@ -622,8 +604,8 @@ impl<V: LlScVar> LlxDomain<V> {
                 continue;
             }
             let mut vals = [0u64; MAX_FIELDS];
-            for (f, v) in vals.iter_mut().enumerate().take(self.fields_per_record) {
-                *v = self.recs[rec].fields[f].read(ctx);
+            for (v, f) in vals.iter_mut().zip(&r.fields) {
+                *v = f.read(ctx);
             }
             if info.vl(ctx, &keep) {
                 return LlxOutcome::Linked(LlxHandle {
@@ -689,6 +671,10 @@ impl<V: LlScVar> LlxDomain<V> {
     /// records, ordered consistently across all possible concurrent SCXs
     /// (for trees: ancestors first) so freezing cannot livelock.
     ///
+    /// The handles are taken by value as any owned list — an array
+    /// (`[hp, hl]`, allocation-free) or a `Vec` when the count is only
+    /// known at run time.
+    ///
     /// Returns whether the SCX committed. All keeps are consumed either
     /// way. `new` must satisfy the freshness requirement (module docs).
     ///
@@ -701,12 +687,13 @@ impl<V: LlScVar> LlxDomain<V> {
         &self,
         ctx: &mut V::Ctx<'_>,
         p: usize,
-        mut handles: Vec<LlxHandle<V>>,
+        mut handles: impl AsMut<[LlxHandle<V>]>,
         fin_mask: u64,
         fld_rec: usize,
         fld_idx: usize,
         new: u64,
     ) -> bool {
+        let handles = handles.as_mut();
         assert!(
             !handles.is_empty() && handles.len() <= MAX_V,
             "SCX links 1..={MAX_V} records"
@@ -750,10 +737,9 @@ impl<V: LlScVar> LlxDomain<V> {
         // is not a verdict (it may be spurious, or a helper may already
         // have installed our freeze word); help() below resolves every
         // record uniformly by value.
-        for (i, h) in handles.iter_mut().enumerate() {
+        for h in handles.iter_mut() {
             let target = self.layout.freeze_word(h.info, p, seq);
             let _ = self.recs[h.rec].info.sc(ctx, &mut h.keep, target);
-            let _ = i;
         }
 
         self.help(ctx, p);
@@ -914,13 +900,14 @@ mod tests {
     use super::*;
     use nbsp_core::{CasLlSc, Native, TagLayout};
 
-    fn native_domain(n: usize, capacity: usize, fields: usize) -> LlxDomain<CasLlSc<Native>> {
+    fn native_domain<const F: usize>(
+        n: usize,
+        capacity: usize,
+    ) -> LlxDomain<CasLlSc<Native>, F, 1> {
         let mut ctx = Native;
         LlxDomain::new(
             n,
             capacity,
-            fields,
-            1,
             || CasLlSc::new_native(TagLayout::half(), 0).unwrap(),
             &mut ctx,
         )
@@ -928,51 +915,51 @@ mod tests {
 
     #[test]
     fn llx_scx_single_record_roundtrip() {
-        let d = native_domain(2, 4, 2);
+        let d = native_domain::<2>(2, 4);
         let mut ctx = Native;
         let r = d.alloc(&mut ctx, &[11], &[1, 2]).unwrap();
         assert_eq!(d.meta(r, 0), 11);
         let h = d.llx(&mut ctx, r).expect_linked("fresh");
         assert_eq!((h.field(0), h.field(1)), (1, 2));
-        assert!(d.scx(&mut ctx, 0, vec![h], 0, r, 1, 9));
+        assert!(d.scx(&mut ctx, 0, [h], 0, r, 1, 9));
         assert_eq!(d.read_field(&mut ctx, r, 1), 9);
         assert_eq!(d.read_field(&mut ctx, r, 0), 1);
     }
 
     #[test]
     fn scx_fails_after_conflicting_scx() {
-        let d = native_domain(2, 4, 1);
+        let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
         let r = d.alloc(&mut ctx, &[0], &[5]).unwrap();
         let h0 = d.llx(&mut ctx, r).expect_linked("p0");
         let h1 = d.llx(&mut ctx, r).expect_linked("p1");
-        assert!(d.scx(&mut ctx, 0, vec![h0], 0, r, 0, 6));
+        assert!(d.scx(&mut ctx, 0, [h0], 0, r, 0, 6));
         // p1's snapshot is stale now: its SCX must abort.
-        assert!(!d.scx(&mut ctx, 1, vec![h1], 0, r, 0, 7));
+        assert!(!d.scx(&mut ctx, 1, [h1], 0, r, 0, 7));
         assert_eq!(d.read_field(&mut ctx, r, 0), 6);
     }
 
     #[test]
     fn finalized_records_stay_finalized() {
-        let d = native_domain(2, 4, 1);
+        let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
         let a = d.alloc(&mut ctx, &[0], &[1]).unwrap();
         let b = d.alloc(&mut ctx, &[0], &[2]).unwrap();
         let ha = d.llx(&mut ctx, a).expect_linked("a");
         let hb = d.llx(&mut ctx, b).expect_linked("b");
         // V = {a, b}, finalize b (bit 1), write a.
-        assert!(d.scx(&mut ctx, 0, vec![ha, hb], 0b10, a, 0, 3));
+        assert!(d.scx(&mut ctx, 0, [ha, hb], 0b10, a, 0, 3));
         assert!(matches!(d.llx(&mut ctx, b), LlxOutcome::Finalized));
         assert!(d.llx_snapshot(&mut ctx, b).is_none());
         // a is unfrozen and writable again.
         let ha = d.llx(&mut ctx, a).expect_linked("a again");
         assert_eq!(ha.field(0), 3);
-        assert!(d.scx(&mut ctx, 1, vec![ha], 0, a, 0, 4));
+        assert!(d.scx(&mut ctx, 1, [ha], 0, a, 0, 4));
     }
 
     #[test]
     fn multi_record_scx_validates_every_link() {
-        let d = native_domain(2, 4, 1);
+        let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
         let a = d.alloc(&mut ctx, &[0], &[10]).unwrap();
         let b = d.alloc(&mut ctx, &[0], &[20]).unwrap();
@@ -980,15 +967,15 @@ mod tests {
         let hb = d.llx(&mut ctx, b).expect_linked("b");
         // Concurrent change to b (not the written field's record):
         let hb2 = d.llx(&mut ctx, b).expect_linked("b2");
-        assert!(d.scx(&mut ctx, 1, vec![hb2], 0, b, 0, 21));
+        assert!(d.scx(&mut ctx, 1, [hb2], 0, b, 0, 21));
         // The two-record SCX linked b's old snapshot: must abort.
-        assert!(!d.scx(&mut ctx, 0, vec![ha, hb], 0, a, 0, 11));
+        assert!(!d.scx(&mut ctx, 0, [ha, hb], 0, a, 0, 11));
         assert_eq!(d.read_field(&mut ctx, a, 0), 10);
     }
 
     #[test]
     fn vlx_detects_interference_and_quiet() {
-        let d = native_domain(2, 4, 1);
+        let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
         let r = d.alloc(&mut ctx, &[0], &[1]).unwrap();
         let h = d.llx(&mut ctx, r).expect_linked("r");
@@ -996,7 +983,7 @@ mod tests {
         let s = d.llx_snapshot(&mut ctx, r).unwrap();
         assert!(d.vlx_snapshots(&mut ctx, &[s]));
         let h2 = d.llx(&mut ctx, r).expect_linked("writer");
-        assert!(d.scx(&mut ctx, 1, vec![h2], 0, r, 0, 2));
+        assert!(d.scx(&mut ctx, 1, [h2], 0, r, 0, 2));
         assert!(!d.vlx(&mut ctx, &[&h]));
         assert!(!d.vlx_snapshots(&mut ctx, &[s]));
         d.unlink(&mut ctx, h);
@@ -1004,7 +991,7 @@ mod tests {
 
     #[test]
     fn arena_budget_is_enforced() {
-        let d = native_domain(1, 2, 1);
+        let d = native_domain::<1>(1, 2);
         let mut ctx = Native;
         assert!(d.alloc(&mut ctx, &[0], &[0]).is_ok());
         assert!(d.alloc(&mut ctx, &[0], &[0]).is_ok());
@@ -1019,7 +1006,7 @@ mod tests {
         // and helping rather than lost updates.
         const THREADS: usize = 4;
         const ROUNDS: usize = 2_000;
-        let d = native_domain(THREADS, 4, 1);
+        let d = native_domain::<1>(THREADS, 4);
         let mut ctx = Native;
         let a = d.alloc(&mut ctx, &[0], &[0]).unwrap();
         let b = d.alloc(&mut ctx, &[0], &[0]).unwrap();
@@ -1037,7 +1024,7 @@ mod tests {
                             // both positions of V get exercised.
                             let (t, ti) = if i % 2 == 0 { (a, 0) } else { (b, 0) };
                             let old = if t == a { ha.field(0) } else { hb.field(0) };
-                            if d.scx(&mut ctx, p, vec![ha, hb], 0, t, ti, old + 1) {
+                            if d.scx(&mut ctx, p, [ha, hb], 0, t, ti, old + 1) {
                                 ok += 1;
                             }
                         }
@@ -1059,10 +1046,10 @@ mod tests {
         use nbsp_core::lock_baseline::LockLlSc;
         use nbsp_memsim::ProcId;
         let mut c0 = ProcId::new(0);
-        let d = LlxDomain::new(2, 4, 1, 1, || LockLlSc::new(2, 0), &mut c0);
+        let d = LlxDomain::<_, 1, 1>::new(2, 4, || LockLlSc::new(2, 0), &mut c0);
         let r = d.alloc(&mut c0, &[1], &[5]).unwrap();
         let h = d.llx(&mut c0, r).expect_linked("r");
-        assert!(d.scx(&mut c0, 0, vec![h], 0, r, 0, 6));
+        assert!(d.scx(&mut c0, 0, [h], 0, r, 0, 6));
         assert_eq!(d.read_field(&mut c0, r, 0), 6);
     }
 }

@@ -251,6 +251,10 @@ pub trait MemWord: Default + Send + Sync + 'static {
     fn crash_reset(&self);
     /// The durable image (uninstrumented, for assertions).
     fn peek_persisted(&self) -> u64;
+    /// The current value without yielding to the model checker — only
+    /// for a read whose every outcome leads to the same observable
+    /// behaviour, so no schedule can hinge on it.
+    fn peek(&self) -> u64;
 }
 
 impl MemWord for PWord {
@@ -278,6 +282,9 @@ impl MemWord for PWord {
     fn peek_persisted(&self) -> u64 {
         PWord::peek_persisted(self)
     }
+    fn peek(&self) -> u64 {
+        PWord::peek(self)
+    }
 }
 
 impl MemWord for VWord {
@@ -304,6 +311,9 @@ impl MemWord for VWord {
     }
     fn peek_persisted(&self) -> u64 {
         VWord::peek_persisted(self)
+    }
+    fn peek(&self) -> u64 {
+        VWord::peek(self)
     }
 }
 

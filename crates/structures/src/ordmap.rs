@@ -65,7 +65,8 @@ const VAL: usize = 1;
 
 /// Child-edge encoding: `0` is null, `i + 1` names record `i` — the
 /// crate's index-plus-one idiom, so a zero-initialized field is an empty
-/// edge and a record is a leaf iff its left edge is null.
+/// edge. A leaf's edges are both null and an internal node's never are,
+/// so whichever edge a descent reads tells it whether it stands on a leaf.
 fn enc(rec: usize) -> u64 {
     rec as u64 + 1
 }
@@ -91,7 +92,9 @@ fn route(key: u64, node_key: u64) -> usize {
 /// SCX descriptor slot). All methods take the provider operation
 /// context.
 pub struct OrdMap<V: LlScVar> {
-    d: LlxDomain<V>,
+    /// Two fields (left, right child) and two meta words (key, value)
+    /// per record.
+    d: LlxDomain<V, 2, 2>,
     root: usize,
 }
 
@@ -127,7 +130,7 @@ impl<V: LlScVar> OrdMap<V> {
         make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
     ) -> Self {
-        let d = LlxDomain::new(n, capacity, 2, 2, make_var, ctx);
+        let d = LlxDomain::new(n, capacity, make_var, ctx);
         assert!(
             capacity as u64 <= d.max_val(),
             "record encoding needs {capacity} values, provider holds {}",
@@ -147,26 +150,29 @@ impl<V: LlScVar> OrdMap<V> {
         self.d.remaining_capacity()
     }
 
-    /// Leaf test: external-tree leaves have no children, and leaf-ness is
-    /// immutable (no SCX ever writes a null edge).
-    fn is_leaf(&self, ctx: &mut V::Ctx<'_>, rec: usize) -> bool {
-        self.d.read_field(ctx, rec, LEFT) == 0
-    }
-
     /// Walks from the root to the leaf `key` routes to, returning
     /// `(grandparent, parent, leaf)`. The grandparent is `None` only when
     /// the leaf hangs directly off the root — which can only be a
     /// sentinel leaf, never a user key.
+    ///
+    /// One field read per level: the routed edge, which is null exactly
+    /// at a leaf (leaf-ness is immutable — no SCX ever writes a null
+    /// edge, and every internal node has two children).
     fn search(&self, ctx: &mut V::Ctx<'_>, key: u64) -> (Option<usize>, usize, usize) {
         let mut gp = None;
         let mut p = self.root;
         let mut cur = dec(self.d.read_field(ctx, p, route(key, self.d.meta(p, KEY))));
-        while !self.is_leaf(ctx, cur) {
+        loop {
+            let edge = self
+                .d
+                .read_field(ctx, cur, route(key, self.d.meta(cur, KEY)));
+            if edge == 0 {
+                return (gp, p, cur);
+            }
             gp = Some(p);
             p = cur;
-            cur = dec(self.d.read_field(ctx, cur, route(key, self.d.meta(cur, KEY))));
+            cur = dec(edge);
         }
-        (gp, p, cur)
     }
 
     /// Looks up `key`. A plain traversal: leaves are immutable, so the
@@ -239,13 +245,13 @@ impl<V: LlScVar> OrdMap<V> {
                     continue;
                 };
                 let old = self.d.meta(leaf, VAL);
-                if self.d.scx(ctx, p, vec![hp, hl], 0b10, par, pside, enc(nl)) {
+                if self.d.scx(ctx, p, [hp, hl], 0b10, par, pside, enc(nl)) {
                     return Ok(Some(old));
                 }
                 false
             } else {
                 self.d
-                    .scx(ctx, p, vec![hp], 0, par, pside, enc(internal.unwrap()))
+                    .scx(ctx, p, [hp], 0, par, pside, enc(internal.unwrap()))
             };
             if committed {
                 return Ok(None);
@@ -334,7 +340,7 @@ impl<V: LlScVar> OrdMap<V> {
             // V = [gp, par, leaf, sib] ancestors-first; finalize all but gp.
             if self
                 .d
-                .scx(ctx, p, vec![hg, hp, hl, hs], 0b1110, gp, gside, enc(sp))
+                .scx(ctx, p, [hg, hp, hl, hs], 0b1110, gp, gside, enc(sp))
             {
                 return Ok(Some(old));
             }
@@ -405,8 +411,8 @@ impl<V: LlScVar> OrdMap<V> {
         &self,
         ctx: &mut V::Ctx<'_>,
         spare: &mut Option<usize>,
-        meta: &[u64],
-        fields: &[u64],
+        meta: &[u64; 2],
+        fields: &[u64; 2],
     ) -> Result<usize, StructureError> {
         match *spare {
             Some(rec) => {
@@ -539,6 +545,49 @@ mod tests {
         assert!(m.is_empty(&mut ctx));
         m.insert(&mut ctx, 0, 9, 99).unwrap();
         assert_eq!(m.snapshot(&mut ctx), vec![(9, 99)]);
+    }
+
+    #[test]
+    fn descent_on_the_sentinel_spine() {
+        // Both ends of the user key range route past the sentinels: 0 is
+        // the leftmost key, u64::MAX - 2 sits just below ∞₁.
+        const TOP: u64 = u64::MAX - 2;
+        let m = native_map(1, 32);
+        let mut ctx = Native;
+        assert_eq!(m.get(&mut ctx, 0), None);
+        assert_eq!(m.get(&mut ctx, TOP), None);
+        assert_eq!(m.delete(&mut ctx, 0, 0).unwrap(), None);
+        assert_eq!(m.delete(&mut ctx, 0, TOP).unwrap(), None);
+        assert!(m.is_empty(&mut ctx));
+        // Look every key up after each insert, so a misrouted descent
+        // fails here rather than sending a later insert into endless
+        // retries.
+        let pairs = [(TOP, 1), (0, 2), (7, 3), (TOP - 1, 4)];
+        for (i, &(k, v)) in pairs.iter().enumerate() {
+            assert_eq!(m.insert(&mut ctx, 0, k, v).unwrap(), None);
+            for &(k, v) in &pairs[..=i] {
+                assert_eq!(m.get(&mut ctx, k), Some(v), "key {k}");
+            }
+        }
+        assert_eq!(m.get(&mut ctx, 1), None);
+        assert_eq!(m.get(&mut ctx, TOP - 2), None);
+        // Delete down to one key, whose leaf ends up right under the
+        // sentinel spine, then grow again around it.
+        for k in [7, TOP, TOP - 1] {
+            assert!(m.delete(&mut ctx, 0, k).unwrap().is_some());
+        }
+        assert_eq!(m.snapshot(&mut ctx), vec![(0, 2)]);
+        assert_eq!(m.get(&mut ctx, 0), Some(2));
+        assert_eq!(m.get(&mut ctx, TOP), None);
+        assert_eq!(m.delete(&mut ctx, 0, TOP).unwrap(), None);
+        assert_eq!(m.insert(&mut ctx, 0, TOP, 5).unwrap(), None);
+        assert_eq!(m.insert(&mut ctx, 0, 0, 6).unwrap(), Some(2));
+        assert_eq!(m.get(&mut ctx, TOP), Some(5));
+        assert_eq!(m.get(&mut ctx, 0), Some(6));
+        assert_eq!(m.snapshot(&mut ctx), vec![(0, 6), (TOP, 5)]);
+        assert_eq!(m.delete(&mut ctx, 0, 0).unwrap(), Some(6));
+        assert_eq!(m.delete(&mut ctx, 0, TOP).unwrap(), Some(5));
+        assert!(m.is_empty(&mut ctx));
     }
 
     #[test]

@@ -18,11 +18,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::event::{Event, EVENT_COUNT};
 
-/// Number of per-process rows in the counter matrix. Threads beyond this
-/// share rows round-robin: totals stay exact (the adds are atomic), but
-/// shared rows can false-share and break the single-writer guarantee that
-/// [`crate::snapshot::Flusher`] needs — keep concurrent recording threads
-/// at or below this bound for consistent snapshots.
+/// Number of per-process rows in the counter matrix. A thread claims a
+/// row no live thread holds and frees it when it exits, so up to this
+/// many concurrently live recording threads each write their own row.
+/// Threads beyond this share rows round-robin: totals stay exact (the
+/// adds are atomic), but shared rows can false-share and break the
+/// single-writer guarantee that [`crate::snapshot::Flusher`] needs — keep
+/// concurrent recording threads at or below this bound for consistent
+/// snapshots.
 pub const MAX_SLOTS: usize = 64;
 
 /// One process's event counters, padded to (a pair of) cache lines so
@@ -42,11 +45,58 @@ impl Row {
 
 static MATRIX: [Row; MAX_SLOTS] = [const { Row::new() }; MAX_SLOTS];
 
-/// Cursor for slot claiming; wraps modulo [`MAX_SLOTS`].
+/// Cursor for slot claiming; wraps modulo [`MAX_SLOTS`]. A claim takes
+/// the first free row at or after it, which spreads successive threads
+/// over the matrix.
 static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+/// Rows held by live threads, one bit per slot.
+static HELD: AtomicU64 = AtomicU64::new(0);
+const _: () = assert!(MAX_SLOTS == 64, "HELD has one bit per slot");
+
+/// A thread's hold on its row, released when the thread exits so that a
+/// later thread reuses the row rather than sharing a live one.
+struct Lease(Cell<usize>);
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let slot = self.0.get();
+        if slot < MAX_SLOTS {
+            // Release: the row's counts happen-before its next owner's
+            // first (exact) read of it.
+            HELD.fetch_and(!(1u64 << slot), Ordering::Release);
+        }
+    }
+}
 
 thread_local! {
     static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+    static LEASE: Lease = const { Lease(Cell::new(usize::MAX)) };
+}
+
+/// Claims a row for the calling thread: the first one at or after the
+/// cursor that no live thread holds, or the cursor's row itself when all
+/// [`MAX_SLOTS`] are held.
+fn claim() -> usize {
+    let start = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % MAX_SLOTS;
+    let mut held = HELD.load(Ordering::Relaxed);
+    while held != u64::MAX {
+        let free = (!held).rotate_right(start as u32).trailing_zeros() as usize;
+        let slot = (start + free) % MAX_SLOTS;
+        let bit = 1u64 << slot;
+        match HELD.compare_exchange_weak(held, held | bit, Ordering::Acquire, Ordering::Relaxed) {
+            Ok(_) => {
+                if LEASE.try_with(|l| l.0.set(slot)).is_err() {
+                    // The thread is already exiting: nothing would free
+                    // the row, so leave it unheld (shared).
+                    HELD.fetch_and(!bit, Ordering::Relaxed);
+                }
+                return slot;
+            }
+            Err(now) => held = now,
+        }
+    }
+    start
 }
 
 /// The calling thread's row index in the counter matrix, claimed on first
@@ -59,7 +109,7 @@ pub fn thread_slot() -> usize {
         if v != usize::MAX {
             v
         } else {
-            let claimed = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % MAX_SLOTS;
+            let claimed = claim();
             s.set(claimed);
             claimed
         }
@@ -122,6 +172,33 @@ mod tests {
         let mine = thread_slot();
         let theirs = std::thread::spawn(thread_slot).join().unwrap();
         assert_ne!(mine, theirs);
+    }
+
+    #[test]
+    fn live_threads_never_share_a_row() {
+        // More threads over the test's lifetime than there are rows, but
+        // never more than a few alive at once: exited threads free their
+        // rows, so every live one writes a row of its own.
+        let mine = thread_slot();
+        for _ in 0..3 * MAX_SLOTS / 4 {
+            let all_claimed = std::sync::Barrier::new(4);
+            let slots: Vec<usize> = std::thread::scope(|s| {
+                let hs: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let slot = thread_slot();
+                            all_claimed.wait();
+                            slot
+                        })
+                    })
+                    .collect();
+                hs.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (i, a) in slots.iter().enumerate() {
+                assert_ne!(*a, mine);
+                assert!(slots[i + 1..].iter().all(|b| b != a), "{slots:?}");
+            }
+        }
     }
 
     #[test]

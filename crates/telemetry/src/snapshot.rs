@@ -95,9 +95,9 @@ impl Flusher {
     /// Re-captures the thread's row as the published baseline *without*
     /// publishing the difference.
     ///
-    /// Thread slots wrap modulo the registry size, so a burst of
-    /// short-lived worker threads can land on this thread's slot and bump
-    /// its row from outside. If those workers flushed their own deltas,
+    /// With more than [`crate::MAX_SLOTS`] live recording threads, rows
+    /// are shared, so other threads can land on this thread's slot and
+    /// bump its row from outside. If those workers flushed their own deltas,
     /// a later `flush` here would publish the same counts a second time.
     /// Call `resync` after such a window (e.g. after joining a spawn
     /// scope) to discard the foreign counts from this flusher's view.
