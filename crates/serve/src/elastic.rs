@@ -120,7 +120,7 @@ pub struct ElasticConfig {
     pub service_mean_ns: f64,
     /// Striped token-bucket admission, or `None` to admit everything.
     pub admission: Option<AdmissionConfig>,
-    /// Capacity of each shard's ring.
+    /// Capacity of each shard's ring (a power of two).
     pub ring_capacity: usize,
     /// Batch size `B` of a global → shard token refill.
     pub refill_batch: u64,
@@ -175,8 +175,9 @@ pub fn run_elastic_cell(cfg: &ElasticConfig, sinks: Option<&ServeSinks>) -> Elas
 ///
 /// Panics on `min_workers < 1`, `min_workers > max_workers`, a
 /// `max_workers` that does not fit the directory's 8-bit count or the
-/// telemetry slot space, a zero `requests`/`ring_capacity`, and if the
-/// final snapshot violates `completed == admitted`.
+/// telemetry slot space, a zero `requests`, a non-power-of-two
+/// `ring_capacity`, and if the final snapshot violates
+/// `completed == admitted`.
 #[must_use]
 pub fn run_elastic_cell_as(
     provider: ProviderId,

@@ -21,13 +21,8 @@
 //! * **Work stealing** ([`ShardRing::steal_into`]) — a worker whose ring
 //!   runs dry picks a victim by seeded rotation and steals *half* the
 //!   victim's queue, committed by a **single SC** on the victim's head
-//!   cursor. The thief reads the `k` slots between its LL and its SC;
-//!   the validate-after-read argument of the SPMC ring extends verbatim:
-//!   the producer can only overwrite a slot after the head passes it,
-//!   any head advance bumps the cursor's tag, and a bumped tag fails the
-//!   thief's SC — so a successful SC proves all `k` reads were of live,
-//!   unclaimed requests, and the failure case transfers nothing. A
-//!   request is therefore executed exactly once, steal or no steal.
+//!   cursor, so a request is executed exactly once, steal or no steal
+//!   ([`ShardRing`] holds the protocol and its correctness argument).
 //! * **Striped admission** ([`StripedBucket`]) — per-shard token words
 //!   refilled in batches of `B` from one global Figure-6 wide bucket.
 //!   The common admit path is one LL–SC on the shard's own word; the
@@ -112,53 +107,150 @@ pub fn shard_for_key(key: u64, shards: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// One worker's bounded dispatch ring, generic over the registry's
-/// LL/SC variable. Single producer; the owning worker pops, and dry
-/// peers steal batches — both through the head cursor, so every claim
-/// is linearized by one SC.
+/// LL/SC variable: one producer pushes; the owning worker pops and dry
+/// peers steal, every claim committed by one SC on the head.
+/// [`crate::ring::SpmcRing`] is this ring behind a claim-once producer
+/// handle, so the argument below covers both rings.
+///
+/// **Cursor copies.** Each cursor's line also holds that side's copy of
+/// the other side's cursor. A push LLs the tail and checks for room
+/// against its private (Relaxed) head copy; a pop LLs the head and
+/// checks for a pending request against the consumers' shared tail
+/// copy. Only when its copy says full (push) or empty (pop) does a side
+/// read the other's real cursor and refresh the copy. Cursors only
+/// advance, so a copy is a lower bound and a stale one only makes a
+/// check conservative. Each push or pop attempt runs one LL and one SC
+/// on its own cursor; steals read the real tail.
+///
+/// **Release/Acquire chain.** A consumer stores the tail copy with
+/// Release right after an Acquire read of the real tail (which pairs
+/// with the producer's releasing SC), and every consumer loads it with
+/// Acquire: a consumer trusting another's copy still sees every slot
+/// store below it.
+///
+/// **Validate-after-read.** Claims read slots between their LL and SC on
+/// the head. The producer overwrites slot `h % cap` only once the tail
+/// reaches `h + cap`, bounded by a head value it observed, so the head
+/// must pass `h` first, and any head advance fails the reader's SC. A
+/// successful SC thus proves every slot read belonged to one live,
+/// unclaimed request, now claimed exclusively: never executed twice,
+/// never lost.
+///
+/// **Wrapping cursors.** Cursors wrap modulo `M` (`max_val + 1`, capped
+/// at 2^63 so values above the range can mean "no copy yet"), and every
+/// comparison is a wrapping distance: a tail copy counts only if
+/// `0 < (copy − head) mod M ≤ cap`, a head copy only if
+/// `(tail − copy) mod M < cap`. With `cap` a power of two `≤ M / 2`,
+/// slot indices stay continuous across the wrap and no real distance
+/// aliases. As with Figure 4's wrapping tag, a consumer must not stall
+/// between its tail read and its copy store for `M − cap` claims.
 #[derive(Debug)]
 pub struct ShardRing<V: LlScVar> {
-    /// Claim cursor (total requests popped or stolen).
-    head: CachePadded<V>,
-    /// Publish cursor (total requests pushed); single-writer.
-    tail: CachePadded<V>,
+    /// Claim cursor, and the consumers' shared copy of the tail.
+    head: CachePadded<Cursor<V>>,
+    /// Publish cursor (single writer), and the producer's head copy.
+    tail: CachePadded<Cursor<V>>,
     /// Slot payloads, indexed by `cursor % capacity`. Plain atomics —
-    /// the cursor protocol is what makes the pairs consistent (see the
-    /// module docs of [`crate::ring`] and the steal extension above).
-    arrivals: Box<[AtomicU64]>,
-    services: Box<[AtomicU64]>,
-    keys: Box<[AtomicU64]>,
+    /// the cursor protocol is what makes a slot's fields consistent.
+    slots: Box<[Slot]>,
+    /// `M - 1`: cursor values wrap modulo `M`.
+    wrap: u64,
+}
+
+/// A ring cursor and, on its line, this side's copy of the other's.
+#[derive(Debug)]
+struct Cursor<V> {
+    var: V,
+    /// A past value of the other side's cursor; [`UNSEEN`] until taken.
+    seen: AtomicU64,
+}
+
+/// A cursor copy not yet taken: above every cursor range, never trusted.
+const UNSEEN: u64 = u64::MAX;
+
+impl<V> Cursor<V> {
+    fn new(var: V) -> CachePadded<Self> {
+        CachePadded::new(Cursor {
+            var,
+            seen: AtomicU64::new(UNSEEN),
+        })
+    }
+}
+
+/// One request's fields, stored together (24 B, at most two lines).
+#[derive(Debug, Default)]
+struct Slot {
+    arrival: AtomicU64,
+    service: AtomicU64,
+    key: AtomicU64,
+}
+
+impl Slot {
+    fn store(&self, r: Request) {
+        self.arrival.store(r.arrival_ns, Ordering::Relaxed);
+        self.service.store(r.service_ns, Ordering::Relaxed);
+        self.key.store(r.key, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> Request {
+        Request {
+            arrival_ns: self.arrival.load(Ordering::Relaxed),
+            service_ns: self.service.load(Ordering::Relaxed),
+            key: self.key.load(Ordering::Relaxed),
+        }
+    }
 }
 
 impl<V: LlScVar> ShardRing<V> {
-    /// Creates an empty ring over the given cursor variables (both must
-    /// hold 0, as freshly built by a provider's `var(env, 0)`).
+    /// Creates an empty ring over two cursor variables holding the same
+    /// start value, any value in their range (the first push checks it).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics unless `capacity` is a power of two and at most half the
+    /// cursors' value range.
     #[must_use]
     pub fn new(capacity: usize, head: V, tail: V) -> Self {
-        assert!(capacity > 0, "shard ring capacity must be positive");
+        let wrap = head.max_val().min(tail.max_val()).min(u64::MAX >> 1);
+        assert!(
+            (wrap + 1).is_power_of_two()
+                && capacity.is_power_of_two()
+                && 2 * capacity as u64 <= wrap + 1,
+            "shard ring capacity must be a power of two and at most half the cursor range"
+        );
         ShardRing {
-            head: CachePadded::new(head),
-            tail: CachePadded::new(tail),
-            arrivals: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            services: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            keys: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+            head: Cursor::new(head),
+            tail: Cursor::new(tail),
+            slots: (0..capacity).map(|_| Slot::default()).collect(),
+            wrap,
         }
     }
 
     /// Number of requests the ring can hold.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.arrivals.len()
+        self.slots.len()
+    }
+
+    /// Wrapping distance from cursor value `from` forward to `to`.
+    fn gap(&self, from: u64, to: u64) -> u64 {
+        to.wrapping_sub(from) & self.wrap
+    }
+
+    /// The cursor value `n` steps past `c`.
+    fn advance(&self, c: u64, n: u64) -> u64 {
+        c.wrapping_add(n) & self.wrap
+    }
+
+    fn slot(&self, cursor: u64) -> &Slot {
+        &self.slots[cursor as usize & (self.slots.len() - 1)]
     }
 
     /// Requests in flight at the time of the (racy) cursor reads.
     pub fn len(&self, ctx: &mut V::Ctx<'_>) -> usize {
-        let t = self.tail.read(ctx);
-        let h = self.head.read(ctx);
-        t.saturating_sub(h) as usize
+        let h = self.head.var.read(ctx);
+        let t = self.tail.var.read(ctx);
+        self.gap(h, t).min(self.slots.len() as u64) as usize
     }
 
     /// Whether the ring was observed empty.
@@ -171,26 +263,31 @@ impl<V: LlScVar> ShardRing<V> {
     /// sole tail writer's SC only fails on providers with spurious RSC
     /// failures, so the retry loop is bounded by the provider's spurious
     /// failure bound (wait-free on the native entries).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first push if the cursors did not start equal.
     pub fn try_push(&self, ctx: &mut V::Ctx<'_>, r: Request) -> bool {
+        let cap = self.slots.len() as u64;
         let mut keep = V::Keep::default();
         loop {
-            let t = self.tail.ll(ctx, &mut keep);
-            let h = self.head.read(ctx);
-            // A stale (small) h only makes this check conservative.
-            if t - h >= self.capacity() as u64 {
-                self.tail.cl(ctx, &mut keep);
-                return false;
+            let t = self.tail.var.ll(ctx, &mut keep);
+            let seen = self.tail.seen.load(Ordering::Relaxed);
+            if seen > self.wrap || self.gap(seen, t) >= cap {
+                let h = self.head.var.read(ctx);
+                assert!(
+                    seen != UNSEEN || h == t,
+                    "shard ring cursors must start at the same value"
+                );
+                self.tail.seen.store(h, Ordering::Relaxed);
+                if self.gap(h, t) >= cap {
+                    self.tail.var.cl(ctx, &mut keep);
+                    return false;
+                }
             }
-            assert!(
-                t < self.tail.max_val(),
-                "shard cursor exhausted its value bits"
-            );
-            let i = (t as usize) % self.capacity();
-            self.arrivals[i].store(r.arrival_ns, Ordering::Relaxed);
-            self.services[i].store(r.service_ns, Ordering::Relaxed);
-            self.keys[i].store(r.key, Ordering::Relaxed);
+            self.slot(t).store(r);
             // Releasing SC publishes the slot stores above.
-            if self.tail.sc(ctx, &mut keep, t + 1) {
+            if self.tail.var.sc(ctx, &mut keep, self.advance(t, 1)) {
                 return true;
             }
         }
@@ -200,26 +297,26 @@ impl<V: LlScVar> ShardRing<V> {
     /// was observed empty. Lock-free: a failed SC means another claim
     /// (the owner's or a thief's) landed.
     pub fn try_pop(&self, ctx: &mut V::Ctx<'_>) -> Option<Request> {
+        let cap = self.slots.len() as u64;
         let mut keep = V::Keep::default();
         let mut backoff = Backoff::new();
         loop {
-            let h = self.head.ll(ctx, &mut keep);
-            let t = self.tail.read(ctx);
-            if h == t {
-                self.head.cl(ctx, &mut keep);
-                return None;
+            let h = self.head.var.ll(ctx, &mut keep);
+            // Acquire: pairs with the Release store below, by any consumer.
+            let seen = self.head.seen.load(Ordering::Acquire);
+            if seen > self.wrap || self.gap(h, seen).wrapping_sub(1) >= cap {
+                // Acquire read: synchronizes with the producer's SC.
+                let t = self.tail.var.read(ctx);
+                if self.gap(h, t) == 0 {
+                    self.head.var.cl(ctx, &mut keep);
+                    return None;
+                }
+                self.head.seen.store(t, Ordering::Release);
             }
-            let i = (h as usize) % self.capacity();
-            let arrival_ns = self.arrivals[i].load(Ordering::Relaxed);
-            let service_ns = self.services[i].load(Ordering::Relaxed);
-            let key = self.keys[i].load(Ordering::Relaxed);
-            if self.head.sc(ctx, &mut keep, h + 1) {
-                // SC success validates the slot read (module docs).
-                return Some(Request {
-                    arrival_ns,
-                    service_ns,
-                    key,
-                });
+            let r = self.slot(h).load();
+            if self.head.var.sc(ctx, &mut keep, self.advance(h, 1)) {
+                // SC success validates the slot read (type docs).
+                return Some(r);
             }
             backoff.spin();
         }
@@ -230,35 +327,26 @@ impl<V: LlScVar> ShardRing<V> {
     /// the victim's head cursor. Returns how many requests were stolen —
     /// 0 both for an empty victim and for a lost race (the caller
     /// rotates to the next victim either way; no retry loop here, so a
-    /// thief never spins on a contended victim).
-    ///
-    /// The `k` slot reads happen between the LL and the SC; a successful
-    /// SC proves the head (and hence every read slot) was untouched for
-    /// the whole window, so the stolen requests are live and now claimed
-    /// exclusively — never executed twice, never lost.
+    /// thief never spins on a contended victim). Thieves are rare, so a
+    /// steal reads the real tail instead of the shared copy.
     pub fn steal_into(&self, ctx: &mut V::Ctx<'_>, out: &mut [Request]) -> usize {
         debug_assert!(!out.is_empty());
         let mut keep = V::Keep::default();
-        let h = self.head.ll(ctx, &mut keep);
-        let t = self.tail.read(ctx);
-        let avail = t.saturating_sub(h);
+        let h = self.head.var.ll(ctx, &mut keep);
+        let t = self.tail.var.read(ctx);
+        let avail = self.gap(h, t);
         if avail == 0 {
-            self.head.cl(ctx, &mut keep);
+            self.head.var.cl(ctx, &mut keep);
             return 0;
         }
         // Steal-half, rounded up so a single queued request is stealable.
-        let k = avail.div_ceil(2).min(out.len() as u64) as usize;
-        for (j, slot) in out.iter_mut().enumerate().take(k) {
-            let i = ((h + j as u64) as usize) % self.capacity();
-            *slot = Request {
-                arrival_ns: self.arrivals[i].load(Ordering::Relaxed),
-                service_ns: self.services[i].load(Ordering::Relaxed),
-                key: self.keys[i].load(Ordering::Relaxed),
-            };
+        let k = avail.div_ceil(2).min(out.len() as u64);
+        for (j, slot) in (0..k).zip(out.iter_mut()) {
+            *slot = self.slot(h.wrapping_add(j)).load();
         }
-        if self.head.sc(ctx, &mut keep, h + k as u64) {
+        if self.head.var.sc(ctx, &mut keep, self.advance(h, k)) {
             record(Event::ServeSteal);
-            k
+            k as usize
         } else {
             0
         }
@@ -536,7 +624,7 @@ pub struct FabricConfig {
     pub service_mean_ns: f64,
     /// Striped token-bucket admission, or `None` to admit everything.
     pub admission: Option<AdmissionConfig>,
-    /// Capacity of each shard's ring.
+    /// Capacity of each shard's ring (a power of two).
     pub ring_capacity: usize,
     /// Batch size `B` of a global → shard token refill.
     pub refill_batch: u64,
@@ -561,8 +649,9 @@ pub fn run_fabric_cell(cfg: &FabricConfig, sinks: Option<&ServeSinks>) -> CellRe
 ///
 /// # Panics
 ///
-/// Panics on a zero `workers`/`requests`/`ring_capacity`, and if the
-/// final snapshot violates `completed == admitted`.
+/// Panics on a zero `workers`/`requests`, a non-power-of-two
+/// `ring_capacity`, and if the final snapshot violates
+/// `completed == admitted`.
 #[must_use]
 pub fn run_fabric_cell_as(
     provider: ProviderId,
@@ -988,6 +1077,68 @@ mod tests {
         // ceil(100/2) = 50 capped at the 32-slot stash.
         assert_eq!(ring.steal_into(ctx, &mut out), STEAL_MAX);
         assert_eq!(ring.len(ctx), 100 - STEAL_MAX);
+    }
+
+    #[test]
+    fn stale_head_copy_never_overwrites_an_unclaimed_slot() {
+        let ring = ShardRing::new(4, var(), var());
+        let ctx = &mut Native;
+        for n in 0..4 {
+            assert!(ring.try_push(ctx, req(n)));
+        }
+        assert!(!ring.try_push(ctx, req(9)), "full at capacity");
+        // One pop frees one slot; the producer's copy still says full
+        // until it re-reads the head.
+        assert_eq!(ring.try_pop(ctx), Some(req(0)));
+        assert!(ring.try_push(ctx, req(4)));
+        assert!(!ring.try_push(ctx, req(9)), "full again at capacity");
+        assert_eq!(ring.len(ctx), 4);
+        for n in 1..5 {
+            assert_eq!(ring.try_pop(ctx), Some(req(n)));
+        }
+        assert!(ring.try_pop(ctx).is_none());
+    }
+
+    #[test]
+    fn cursors_wrap_past_their_value_range() {
+        let max = TagLayout::half().max_val();
+        let start = max - 2;
+        let at = |v| CasLlSc::new_native(TagLayout::half(), v).unwrap();
+        let ring = ShardRing::new(4, at(start), at(start));
+        let ctx = &mut Native;
+        let mut out = [req(0); STEAL_MAX];
+        let (mut next, mut expect) = (0u64, 0u64);
+        // 3 rounds of: fill, steal half, pop the rest — 12 requests, so
+        // both cursors cross the wrap at max + 1 == 0.
+        for _ in 0..3 {
+            while ring.try_push(ctx, req(next)) {
+                next += 1;
+            }
+            assert_eq!(ring.len(ctx), 4, "full at capacity across the wrap");
+            assert_eq!(ring.steal_into(ctx, &mut out), 2);
+            assert_eq!(out[..2], [req(expect), req(expect + 1)]);
+            expect += 2;
+            while let Some(r) = ring.try_pop(ctx) {
+                assert_eq!(r, req(expect), "FIFO across the wrap");
+                expect += 1;
+            }
+        }
+        assert_eq!((next, expect), (12, 12), "each request delivered once");
+        assert_eq!(ring.head.var.read(ctx), start.wrapping_add(12) & max);
+    }
+
+    #[test]
+    #[should_panic(expected = "start at the same value")]
+    fn unequal_start_cursors_panic_on_first_push() {
+        let at = |v| CasLlSc::new_native(TagLayout::half(), v).unwrap();
+        let ring = ShardRing::new(4, at(3), at(0));
+        ring.try_push(&mut Native, req(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn capacity_must_be_a_power_of_two() {
+        let _ = ShardRing::new(6, var(), var());
     }
 
     #[test]

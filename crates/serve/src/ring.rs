@@ -1,55 +1,25 @@
-//! A bounded single-producer multi-consumer dispatch ring whose cursors
-//! are Figure-4 LL/SC variables.
+//! The single-ring cell's bounded single-producer multi-consumer
+//! dispatch ring.
 //!
-//! The load generator is one thread (arrivals are a single ordered
-//! stream), so the ring needs exactly SPMC: one producer appending at the
-//! tail, N workers competing to claim the head. Both cursors are
-//! [`CasLlSc`] variables — the crate dispatches its served traffic through
-//! the same primitive it benchmarks:
-//!
-//! * **push** is *wait-free*: the producer is the only writer of the tail,
-//!   so its tag never moves between its LL and its SC and the SC cannot
-//!   fail — one LL, two slot stores, one SC, no loop;
-//! * **pop** is *lock-free*: a consumer LLs the head, reads the slot, and
-//!   SCs `head + 1`; a failed SC means another consumer's SC landed, i.e.
-//!   the system as a whole made progress.
-//!
-//! ## Why reading the slot before the SC is safe
-//!
-//! A consumer reads the two slot words *between* its LL and SC on the
-//! head (the paper's validate-after-read idiom). The producer overwrites
-//! slot `h % cap` only once the tail reaches `h + cap`, and it bounds the
-//! tail by a head value it observed — so overwriting that slot requires
-//! the head to have advanced past `h` first. Any head advance bumps the
-//! head's tag and makes the reader's SC fail, discarding the possibly
-//! torn read. A *successful* SC therefore proves the head was untouched
-//! for the whole read, which in turn proves the producer never came
-//! within `cap` of the claimed slot: both words belong to one request.
-//!
-//! Cursors only grow (indices are taken modulo the capacity), and the
-//! half-word [`TagLayout`] leaves 32 value bits — `SpmcRing::push` asserts
-//! the cursor stays in range, bounding a ring's lifetime at ~4.3 billion
-//! requests, far beyond any experiment cell.
+//! The load generator is one thread, so the ring needs exactly SPMC.
+//! [`SpmcRing`] is a [`ShardRing`] over two [`CasLlSc`] cursors plus a
+//! claim-once [`Producer`] handle that enforces the single writer: a
+//! push is *wait-free* (the tail's tag cannot move between the
+//! producer's LL and SC), and a pop is *lock-free* (a failed SC means
+//! another consumer's claim landed). [`ShardRing`] documents the
+//! protocol and its correctness argument.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use nbsp_core::{Backoff, CachePadded, CasLlSc, Keep, Native, TagLayout};
-use nbsp_telemetry::{observe, Hist};
+use nbsp_core::{Backoff, CasLlSc, Native, TagLayout};
 
+use crate::fabric::ShardRing;
 use crate::loadgen::Request;
 
 /// The bounded SPMC dispatch ring. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct SpmcRing {
-    /// Claim cursor (total requests popped); multi-consumer LL/SC.
-    head: CachePadded<CasLlSc<Native>>,
-    /// Publish cursor (total requests pushed); single-writer LL/SC.
-    tail: CachePadded<CasLlSc<Native>>,
-    /// Slot payloads, indexed by `cursor % capacity`. Plain atomics —
-    /// the cursor protocol above is what makes the pairs consistent.
-    arrivals: Box<[AtomicU64]>,
-    services: Box<[AtomicU64]>,
-    keys: Box<[AtomicU64]>,
+    ring: ShardRing<CasLlSc<Native>>,
     /// Enforces the single-producer contract at runtime.
     producer_claimed: AtomicBool,
 }
@@ -59,7 +29,7 @@ pub struct SpmcRing {
 /// deliberately neither `Clone` nor constructible elsewhere.
 #[derive(Debug)]
 pub struct Producer<'a> {
-    ring: &'a SpmcRing,
+    ring: &'a ShardRing<CasLlSc<Native>>,
 }
 
 impl SpmcRing {
@@ -67,17 +37,12 @@ impl SpmcRing {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics unless `capacity` is a power of two no larger than 2^31.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        let layout = TagLayout::half();
+        let cursor = || CasLlSc::new_native(TagLayout::half(), 0).unwrap();
         SpmcRing {
-            head: CachePadded::new(CasLlSc::new_native(layout, 0).unwrap()),
-            tail: CachePadded::new(CasLlSc::new_native(layout, 0).unwrap()),
-            arrivals: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            services: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            keys: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+            ring: ShardRing::new(capacity, cursor(), cursor()),
             producer_claimed: AtomicBool::new(false),
         }
     }
@@ -85,7 +50,7 @@ impl SpmcRing {
     /// Number of requests the ring can hold.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.arrivals.len()
+        self.ring.capacity()
     }
 
     /// Claims the ring's unique producer handle.
@@ -100,16 +65,13 @@ impl SpmcRing {
             !self.producer_claimed.swap(true, Ordering::Relaxed),
             "SpmcRing::producer may only be claimed once"
         );
-        Producer { ring: self }
+        Producer { ring: &self.ring }
     }
 
-    /// Requests currently in flight (racy estimate: the two cursors are
-    /// read independently).
+    /// Requests in flight (racy: the two cursors are read independently).
     #[must_use]
     pub fn len(&self) -> usize {
-        let t = self.tail.read(&Native);
-        let h = self.head.read(&Native);
-        t.saturating_sub(h) as usize
+        self.ring.len(&mut Native)
     }
 
     /// Whether the ring was empty at the time of the (racy) reads.
@@ -118,70 +80,18 @@ impl SpmcRing {
         self.len() == 0
     }
 
-    /// Claims and returns the request at the head, or `None` if the ring
-    /// was observed empty. Lock-free: retries only when another consumer's
-    /// SC claimed the head first.
+    /// Claims the request at the head, or `None` if the ring was observed
+    /// empty. Lock-free: retries only when another consumer's claim landed.
     pub fn try_pop(&self) -> Option<Request> {
-        let mem = Native;
-        let mut keep = Keep::default();
-        let mut backoff = Backoff::new();
-        let mut attempts = 0u64;
-        loop {
-            attempts += 1;
-            // nbsp-flow: allow(keep-leak) — CasLlSc's LL is a plain acquire load into the keep; no slot is claimed, so the empty-ring return abandons nothing
-            let h = self.head.ll(&mem, &mut keep);
-            // Acquire read: synchronizes with the producer's releasing SC,
-            // so the slot stores made before that SC are visible below.
-            let t = self.tail.read(&mem);
-            if h == t {
-                return None;
-            }
-            let i = (h as usize) % self.capacity();
-            let arrival_ns = self.arrivals[i].load(Ordering::Relaxed);
-            let service_ns = self.services[i].load(Ordering::Relaxed);
-            let key = self.keys[i].load(Ordering::Relaxed);
-            if self.head.sc(&mem, &keep, h + 1) {
-                // SC success validates the read triple (module docs).
-                observe(Hist::Retries, attempts);
-                return Some(Request {
-                    arrival_ns,
-                    service_ns,
-                    key,
-                });
-            }
-            backoff.spin();
-        }
+        self.ring.try_pop(&mut Native)
     }
 }
 
 impl Producer<'_> {
     /// Appends `r` if the ring has room; `false` (without side effects) if
-    /// it was full. Wait-free: one LL, one head read, one SC that cannot
-    /// fail.
+    /// it was full. Wait-free: one LL, one SC that cannot fail.
     pub fn try_push(&mut self, r: Request) -> bool {
-        let ring = self.ring;
-        let mem = Native;
-        let mut keep = Keep::default();
-        // nbsp-flow: allow(keep-leak) — CasLlSc's LL claims no slot; the full-ring return abandons only a local snapshot
-        let t = ring.tail.ll(&mem, &mut keep);
-        let h = ring.head.read(&mem);
-        // A stale (small) h only makes this check conservative.
-        if t - h >= ring.capacity() as u64 {
-            return false;
-        }
-        assert!(
-            t < ring.tail.layout().max_val(),
-            "ring cursor exhausted its 32 value bits"
-        );
-        let i = (t as usize) % ring.capacity();
-        ring.arrivals[i].store(r.arrival_ns, Ordering::Relaxed);
-        ring.services[i].store(r.service_ns, Ordering::Relaxed);
-        ring.keys[i].store(r.key, Ordering::Relaxed);
-        // Releasing SC publishes the slot stores above. Sole tail writer:
-        // the tag cannot have moved since the LL.
-        let landed = ring.tail.sc(&mem, &keep, t + 1);
-        debug_assert!(landed, "single-writer SC on the tail cannot fail");
-        landed
+        self.ring.try_push(&mut Native, r)
     }
 
     /// Appends `r`, spinning (with bounded backoff) while the ring is
@@ -235,33 +145,38 @@ mod tests {
         let _b = ring.producer();
     }
 
+    /// On the two-slot ring every slot is rewritten about every other
+    /// push, so a torn or stale slot read that slipped past the head SC
+    /// would pair one request's fields with another's.
     #[test]
     fn every_request_consumed_exactly_once() {
-        let ring = SpmcRing::new(64);
         const N: u64 = 20_000;
-        const CONSUMERS: usize = 4;
-        let popped = AtomicU64::new(0);
-        let sum = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..CONSUMERS {
-                s.spawn(|| {
-                    while popped.load(Ordering::Relaxed) < N {
-                        if let Some(r) = ring.try_pop() {
-                            sum.fetch_add(r.arrival_ns, Ordering::Relaxed);
-                            popped.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            std::hint::spin_loop();
+        for (capacity, consumers) in [(64, 4), (2, 3)] {
+            let ring = SpmcRing::new(capacity);
+            let popped = AtomicU64::new(0);
+            let sum = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..consumers {
+                    s.spawn(|| {
+                        while popped.load(Ordering::Relaxed) < N {
+                            if let Some(r) = ring.try_pop() {
+                                assert_eq!(r, req(r.arrival_ns), "torn slot");
+                                sum.fetch_add(r.arrival_ns, Ordering::Relaxed);
+                                popped.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                std::hint::spin_loop();
+                            }
                         }
-                    }
-                });
-            }
-            let mut p = ring.producer();
-            for n in 1..=N {
-                p.push(req(n));
-            }
-        });
-        assert_eq!(popped.load(Ordering::Relaxed), N);
-        // Each value claimed exactly once <=> the sum is exact.
-        assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2);
+                    });
+                }
+                let mut p = ring.producer();
+                for n in 1..=N {
+                    p.push(req(n));
+                }
+            });
+            assert_eq!(popped.load(Ordering::Relaxed), N);
+            // Each value claimed exactly once <=> the sum is exact.
+            assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2);
+        }
     }
 }

@@ -146,7 +146,7 @@ pub struct CellConfig {
     pub service_mean_ns: f64,
     /// Token-bucket admission, or `None` to admit everything.
     pub admission: Option<AdmissionConfig>,
-    /// Dispatch ring capacity.
+    /// Dispatch ring capacity (a power of two).
     pub ring_capacity: usize,
 }
 
@@ -199,9 +199,10 @@ impl ServeSinks {
 ///
 /// # Panics
 ///
-/// Panics on a zero `workers`/`requests`/`ring_capacity`, or if the
-/// final snapshot violates `completed == admitted` (every admitted
-/// request is executed exactly once).
+/// Panics on a zero `workers`/`requests`, a `ring_capacity` that is not a
+/// power of two, or if the final snapshot violates
+/// `completed == admitted` (every admitted request is executed exactly
+/// once).
 #[must_use]
 pub fn run_cell(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
     assert!(cfg.workers > 0, "need at least one worker");

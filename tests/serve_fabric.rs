@@ -81,6 +81,9 @@ for_each_provider!(fabric_test);
 /// if a steal's SC commit could duplicate a request the sum would
 /// overshoot, if it could lose one the count would undershoot (the
 /// consumers only exit once the producer is done and the ring drained).
+/// Every field is derived from the sequence number, and each consumed
+/// request must be self-consistent: a slot read whose fields came from
+/// two different requests fails that check even when the sum balances.
 #[test]
 fn steal_commit_never_duplicates_or_loses_under_starvation() {
     const REQUESTS: u64 = 12_000;
@@ -111,6 +114,7 @@ fn steal_commit_never_duplicates_or_loses_under_starvation() {
                 loop {
                     let k = ring.steal_into(ctx, &mut stash);
                     if k > 0 {
+                        stash[..k].iter().for_each(assert_self_consistent);
                         let sum: u64 = stash[..k].iter().map(|r| r.arrival_ns).sum();
                         checksum.fetch_add(sum, Ordering::Relaxed);
                         consumed.fetch_add(k as u64, Ordering::Relaxed);
@@ -127,6 +131,7 @@ fn steal_commit_never_duplicates_or_loses_under_starvation() {
             let ctx = &mut Native;
             loop {
                 if let Some(r) = ring.try_pop(ctx) {
+                    assert_self_consistent(&r);
                     checksum.fetch_add(r.arrival_ns, Ordering::Relaxed);
                     consumed.fetch_add(1, Ordering::Relaxed);
                 } else if done.load(Ordering::Acquire) && ring.is_empty(ctx) {
@@ -141,11 +146,7 @@ fn steal_commit_never_duplicates_or_loses_under_starvation() {
         // wraparound, so every slot is reused ~190 times).
         let ctx = &mut Native;
         for i in 1..=REQUESTS {
-            let r = Request {
-                arrival_ns: i,
-                service_ns: 1,
-                key: 0,
-            };
+            let r = seq_request(i);
             while !ring.try_push(ctx, r) {
                 std::thread::yield_now();
             }
@@ -163,4 +164,18 @@ fn steal_commit_never_duplicates_or_loses_under_starvation() {
         REQUESTS * (REQUESTS + 1) / 2,
         "consumed set is not exactly the produced set"
     );
+}
+
+/// The request with sequence number `n`: every field is a distinct
+/// function of `n`.
+fn seq_request(n: u64) -> Request {
+    Request {
+        arrival_ns: n,
+        service_ns: n.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        key: !n,
+    }
+}
+
+fn assert_self_consistent(r: &Request) {
+    assert_eq!(*r, seq_request(r.arrival_ns), "torn or stale slot read");
 }
