@@ -2,9 +2,10 @@
 //! full registry listing with capability/tier metadata, the
 //! conformance/differential/DPOR stamps for the weak-primitive providers
 //! (`cas-from-swap`, `feb-llsc`), and the "cost of weakening the
-//! hardware" throughput ordering. Writes `BENCH_hierarchy.json` (only
-//! schedule-deterministic fields, so same-seed runs are byte-identical;
-//! schema documented in `e16_hierarchy::to_json`) and hard-fails on any
+//! hardware" throughput ordering. Writes `BENCH_hierarchy.json` (no raw
+//! throughput; outside the wall-clock `ordering` verdicts, same-seed runs
+//! are byte-identical; schema documented in `e16_hierarchy::to_json`)
+//! and hard-fails on any
 //! gate: a failed weak-provider stamp, a wrong registry count, or a
 //! non-monotone hierarchy ordering.
 //!

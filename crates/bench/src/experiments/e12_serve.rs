@@ -29,7 +29,9 @@
 //!
 //! A second sweep scales the pool, `workers ∈ {1, 2, 4, 8, 16}` ×
 //! `{single-ring baseline, fabric}` × offered load `{0.6, 1.2}` × pool
-//! capacity, admission on. The virtual model charges every claim on the
+//! capacity, admission on. Both architectures are the one serving
+//! pipeline with a fixed pool: `Dispatch::Shared` and
+//! `Dispatch::Sharded`. The virtual model charges every claim on the
 //! shared dispatch cursor `workers ×` [`CLAIM_NS_PER_CONTENDER`], so the
 //! single ring's dispatch capacity *falls* as `1/workers` while the pool
 //! grows as `workers` — past ~6 workers dispatch, not service, is the
@@ -48,7 +50,8 @@
 //!   steal count is nonzero under the bursty process at 8 and 16
 //!   workers, and its striped admission records batch refills.
 //!
-//! All per-cell counters come from single-WLL [`CellSnapshot`]s and the
+//! All per-cell counters come from single-WLL
+//! [`CellSnapshot`](nbsp_serve::CellSnapshot)s and the
 //! run-level telemetry block from the Figure-6
 //! [`WideTotals`](nbsp_core::WideTotals)/[`WideHists`](nbsp_core::WideHists)
 //! sinks — no racy sums anywhere on the reporting path. The run writes
@@ -56,11 +59,12 @@
 
 use nbsp_serve::service::CLAIM_NS_PER_CONTENDER;
 use nbsp_serve::{
-    run_cell, run_fabric_cell, AdmissionConfig, ArrivalProcess, CellConfig, CellResult,
-    FabricConfig, ServeSinks, Workload,
+    run_cell, AdmissionConfig, ArrivalProcess, CellResult, Dispatch, Pool, ServeSinks, Workload,
 };
-use nbsp_telemetry::{AtomicHists, AtomicTotals, Event, Hist};
 
+use super::serving::{
+    cell_config, cell_json, pool_capacity, telemetry_json, RING_CAPACITY, SERVICE_MEAN_NS,
+};
 use crate::report::{fmt_ns, fmt_ops, Report, Table};
 
 /// Seed for every cell (the cell configs differ, so streams do too).
@@ -68,10 +72,6 @@ const SEED: u64 = 0x5e12_5e12;
 
 /// Real worker threads per cell; also the virtual server count.
 const WORKERS: usize = 4;
-
-/// Mean virtual service demand per request. With [`WORKERS`] servers the
-/// virtual capacity is `WORKERS * 1e9 / SERVICE_MEAN_NS` = 4M req/s.
-const SERVICE_MEAN_NS: f64 = 1_000.0;
 
 /// Offered-load points as a fraction of virtual capacity: comfortably
 /// under, near saturation, and 20% over.
@@ -84,9 +84,9 @@ const ADMIT_RHO: f64 = 0.85;
 /// Token-bucket depth: the burst absorbed without shedding.
 const ADMIT_BURST: u64 = 256;
 
-/// Virtual capacity in requests per second.
+/// Virtual capacity in requests per second (4M req/s).
 fn capacity_per_sec() -> f64 {
-    WORKERS as f64 * 1e9 / SERVICE_MEAN_NS
+    pool_capacity(WORKERS)
 }
 
 fn admission() -> AdmissionConfig {
@@ -104,17 +104,16 @@ const SCALE_WORKERS: [usize; 5] = [1, 2, 4, 8, 16];
 /// own capacity — dispatch contention only lowers that).
 const SCALE_RHO: [f64; 2] = [0.6, 1.2];
 
-/// Per-shard ring capacity in the scaling sweep (single-ring cells get
-/// the same total for their one ring).
-const SCALE_RING_CAPACITY: usize = 1024;
-
 /// Batch size `B` of a striped global → shard token refill.
 const REFILL_BATCH: u64 = 64;
 
-/// Pool capacity (requests/s) for a given worker count.
-fn pool_capacity(workers: usize) -> f64 {
-    workers as f64 * 1e9 / SERVICE_MEAN_NS
-}
+/// The two dispatch architectures of the scaling sweep. Both get
+/// [`RING_CAPACITY`] per ring: the single ring has one, the fabric one
+/// per worker. Ring capacity does not enter the virtual model.
+const SINGLE_RING: Dispatch = Dispatch::Shared;
+const FABRIC: Dispatch = Dispatch::Sharded {
+    refill_batch: REFILL_BATCH,
+};
 
 /// Scaling-sweep admission: the same 85%-of-capacity rule as the fixed
 /// sweep, scaled to the cell's pool.
@@ -125,25 +124,16 @@ fn admission_for(workers: usize) -> AdmissionConfig {
     }
 }
 
-/// The two dispatch architectures of the scaling sweep.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Arch {
-    SingleRing,
-    Fabric,
-}
-
-impl Arch {
-    fn name(self) -> &'static str {
-        match self {
-            Arch::SingleRing => "single_ring",
-            Arch::Fabric => "fabric",
-        }
+fn arch_name(arch: Dispatch) -> &'static str {
+    match arch {
+        Dispatch::Shared => "single_ring",
+        Dispatch::Sharded { .. } => "fabric",
     }
 }
 
 /// One scaling cell's identity + outcome.
 struct ScaleRow {
-    arch: Arch,
+    arch: Dispatch,
     process: &'static str,
     workers: usize,
     rate_per_sec: f64,
@@ -151,44 +141,25 @@ struct ScaleRow {
 }
 
 fn run_scale_one(
-    arch: Arch,
+    arch: Dispatch,
     workers: usize,
     process: ArrivalProcess,
     requests: u64,
     sinks: &ServeSinks,
 ) -> ScaleRow {
-    let result = match arch {
-        Arch::SingleRing => run_cell(
-            &CellConfig {
-                seed: SEED,
-                process,
-                workload: Workload::Counter,
-                workers,
-                requests,
-                service_mean_ns: SERVICE_MEAN_NS,
-                admission: Some(admission_for(workers)),
-                ring_capacity: SCALE_RING_CAPACITY,
-            },
-            Some(sinks),
-        ),
-        Arch::Fabric => run_fabric_cell(
-            &FabricConfig {
-                seed: SEED,
-                process,
-                workload: Workload::Counter,
-                workers,
-                requests,
-                service_mean_ns: SERVICE_MEAN_NS,
-                admission: Some(admission_for(workers)),
-                ring_capacity: SCALE_RING_CAPACITY,
-                refill_batch: REFILL_BATCH,
-            },
-            Some(sinks),
-        ),
-    };
+    let cfg = cell_config(
+        SEED,
+        process,
+        Workload::Counter,
+        Pool::Fixed(workers),
+        arch,
+        requests,
+        Some(admission_for(workers)),
+    );
+    let result = run_cell(&cfg, Some(sinks));
     eprintln!(
         "[e12_serve] scale {} w={} {} rate={}: p99={} shed={} steals={} refills={}",
-        arch.name(),
+        arch_name(arch),
         workers,
         process.name(),
         fmt_ops(process.mean_rate_per_sec()),
@@ -217,7 +188,7 @@ fn scale_onoff(workers: usize) -> ArrivalProcess {
 
 fn scale_find<'a>(
     rows: &'a [ScaleRow],
-    arch: Arch,
+    arch: Dispatch,
     workers: usize,
     rate: f64,
     process: &str,
@@ -248,16 +219,15 @@ fn run_one(
     admit: bool,
     sinks: &ServeSinks,
 ) -> CellRow {
-    let cfg = CellConfig {
-        seed: SEED,
+    let cfg = cell_config(
+        SEED,
         process,
         workload,
-        workers: WORKERS,
+        Pool::Fixed(WORKERS),
+        Dispatch::Shared,
         requests,
-        service_mean_ns: SERVICE_MEAN_NS,
-        admission: admit.then(admission),
-        ring_capacity: 1024,
-    };
+        admit.then(admission),
+    );
     let result = run_cell(&cfg, Some(sinks));
     eprintln!(
         "[e12_serve] {} rate={} {} admission={}: p50={} p99={} shed={}/{}",
@@ -279,40 +249,6 @@ fn run_one(
     }
 }
 
-/// Run-level telemetry block read from the Figure-6 sinks (one WLL per
-/// sink). `"enabled": false` when the feature is compiled out.
-fn telemetry_json(indent: &str, sinks: &ServeSinks) -> String {
-    if !nbsp_telemetry::enabled() {
-        return format!("{indent}\"telemetry\": {{\"enabled\": false}}");
-    }
-    let totals = sinks.events.totals();
-    let events = Event::ALL
-        .iter()
-        .map(|e| format!("\"{}\": {}", e.name(), totals[e.index()]))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let hist_totals = sinks.hists.totals();
-    let hists = Hist::ALL
-        .iter()
-        .map(|h| {
-            let buckets = hist_totals[*h as usize]
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{indent}    \"{}\": [{buckets}]", h.name())
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{indent}\"telemetry\": {{\n\
-         {indent}  \"enabled\": true,\n\
-         {indent}  \"events\": {{{events}}},\n\
-         {indent}  \"histograms\": {{\n{hists}\n{indent}  }}\n\
-         {indent}}}"
-    )
-}
-
 fn to_json(rows: &[CellRow], scale: &[ScaleRow], requests: u64, sinks: &ServeSinks) -> String {
     let adm = admission();
     let mut s = String::new();
@@ -329,7 +265,7 @@ fn to_json(rows: &[CellRow], scale: &[ScaleRow], requests: u64, sinks: &ServeSin
     ));
     s.push_str(&format!(
         "  \"fabric\": {{\"claim_ns_per_contender\": {CLAIM_NS_PER_CONTENDER}, \
-         \"steal_ns\": {}, \"ring_capacity\": {SCALE_RING_CAPACITY}, \
+         \"steal_ns\": {}, \"ring_capacity\": {RING_CAPACITY}, \
          \"refill_batch\": {REFILL_BATCH}}},\n",
         nbsp_serve::fabric::STEAL_NS
     ));
@@ -360,26 +296,14 @@ fn to_json(rows: &[CellRow], scale: &[ScaleRow], requests: u64, sinks: &ServeSin
     s.push_str("  ],\n");
     s.push_str("  \"scaling\": [\n");
     for (i, r) in scale.iter().enumerate() {
-        let snap = &r.result.snapshot;
         s.push_str(&format!(
             "    {{\"arch\": \"{}\", \"process\": \"{}\", \"workers\": {}, \
-             \"rate_per_sec\": {:.1}, \"generated\": {}, \"admitted\": {}, \"shed\": {}, \
-             \"completed\": {}, \"steals\": {}, \"refills\": {}, \"p50_ns\": {}, \
-             \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}{}\n",
-            r.arch.name(),
+             \"rate_per_sec\": {:.1}, {}}}{}\n",
+            arch_name(r.arch),
             r.process,
             r.workers,
             r.rate_per_sec,
-            snap.generated(),
-            snap.admitted,
-            snap.shed,
-            snap.completed,
-            snap.steals,
-            snap.refills,
-            r.result.p50_ns,
-            r.result.p95_ns,
-            r.result.p99_ns,
-            r.result.p999_ns,
+            cell_json(&r.result),
             if i + 1 == scale.len() { "" } else { "," },
         ));
     }
@@ -440,16 +364,16 @@ pub fn run(requests: u64) -> Report {
             let process = ArrivalProcess::Poisson {
                 rate_per_sec: rho * pool_capacity(w),
             };
-            for arch in [Arch::SingleRing, Arch::Fabric] {
+            for arch in [SINGLE_RING, FABRIC] {
                 scale.push(run_scale_one(arch, w, process, requests, &sinks));
             }
         }
     }
     // Flash crowd at scale: both architectures at 8 workers (collapse
     // gate), fabric again at 16 (steal gate at the top of the curve).
-    scale.push(run_scale_one(Arch::SingleRing, 8, scale_onoff(8), requests, &sinks));
-    scale.push(run_scale_one(Arch::Fabric, 8, scale_onoff(8), requests, &sinks));
-    scale.push(run_scale_one(Arch::Fabric, 16, scale_onoff(16), requests, &sinks));
+    scale.push(run_scale_one(SINGLE_RING, 8, scale_onoff(8), requests, &sinks));
+    scale.push(run_scale_one(FABRIC, 8, scale_onoff(8), requests, &sinks));
+    scale.push(run_scale_one(FABRIC, 16, scale_onoff(16), requests, &sinks));
 
     let json = to_json(&rows, &scale, requests, &sinks);
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
@@ -535,8 +459,8 @@ pub fn run(requests: u64) -> Report {
         ]);
         for w in SCALE_WORKERS {
             let rate = rho * pool_capacity(w);
-            let base = scale_find(&scale, Arch::SingleRing, w, rate, "poisson");
-            let fab = scale_find(&scale, Arch::Fabric, w, rate, "poisson");
+            let base = scale_find(&scale, SINGLE_RING, w, rate, "poisson");
+            let fab = scale_find(&scale, FABRIC, w, rate, "poisson");
             let fsnap = &fab.result.snapshot;
             table.row([
                 format!("{w}"),
@@ -564,7 +488,7 @@ pub fn run(requests: u64) -> Report {
     let mut table = Table::new(["arch", "workers", "p99", "shed", "steals"]);
     for r in scale.iter().filter(|r| r.process == "onoff") {
         table.row([
-            r.arch.name().to_string(),
+            arch_name(r.arch).to_string(),
             format!("{}", r.workers),
             fmt_ns(r.result.p99_ns as f64),
             format!(
@@ -614,8 +538,8 @@ pub fn run(requests: u64) -> Report {
     // Scaling gates (a)–(c); deterministic for the same reason.
     for w in [8usize, 16] {
         let rate = SCALE_RHO[1] * pool_capacity(w);
-        let base = scale_find(&scale, Arch::SingleRing, w, rate, "poisson");
-        let fab = scale_find(&scale, Arch::Fabric, w, rate, "poisson");
+        let base = scale_find(&scale, SINGLE_RING, w, rate, "poisson");
+        let fab = scale_find(&scale, FABRIC, w, rate, "poisson");
         assert!(
             fab.result.p99_ns < base.result.p99_ns,
             "gate (a): fabric p99 {} must beat single-ring p99 {} at {w} workers, \
@@ -630,17 +554,17 @@ pub fn run(requests: u64) -> Report {
         assert!(
             snap.shed > 0,
             "gate (b): the {} flash crowd at {} workers must shed",
-            r.arch.name(),
+            arch_name(r.arch),
             r.workers,
         );
         assert_eq!(
             snap.generated(),
             snap.admitted + snap.shed,
             "gate (b): the {} flash crowd at {} workers must conserve requests",
-            r.arch.name(),
+            arch_name(r.arch),
             r.workers,
         );
-        if r.arch == Arch::Fabric {
+        if r.arch == FABRIC {
             assert!(
                 snap.steals > 0,
                 "gate (c): the fabric flash crowd at {} workers must steal",

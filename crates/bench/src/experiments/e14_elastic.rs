@@ -8,8 +8,9 @@
 //!
 //! 1. **The elastic sweep** — one flash-crowd trace (ON/OFF bursts whose
 //!    *mean* offered rate is 1.2× the full pool's capacity) is served by
-//!    fixed fabric pools of 2, 4, and 8 workers and by the elastic pool
-//!    (min 2, max 8), all under the *same* admission configuration. The
+//!    fixed pools of 2, 4, and 8 workers and by the elastic pool (min 2,
+//!    max 8) — one sharded pipeline, `Pool::Fixed` against
+//!    `Pool::Elastic` — all under the *same* admission configuration. The
 //!    headline gate: **the elastic pool beats every fixed size on p99
 //!    sojourn**. The two loss modes it splits are real and distinct:
 //!    * a *small* fixed pool admits at the shared bucket rate but serves
@@ -48,18 +49,18 @@ use nbsp_core::ProviderId;
 use nbsp_dynamic::{sweep, SweepReport};
 use nbsp_serve::service::CLAIM_NS_PER_CONTENDER;
 use nbsp_serve::{
-    run_elastic_cell_as, run_fabric_cell, AdmissionConfig, ArrivalProcess, CellResult,
-    ElasticConfig, ElasticResult, FabricConfig, ScalerConfig, ServeSinks, Workload,
+    run_cell, run_cell_as, AdmissionConfig, ArrivalProcess, CellConfig, CellResult, Dispatch,
+    Pool, ScalerConfig, ServeSinks, Workload,
 };
-use nbsp_telemetry::{AtomicHists, AtomicTotals, Event, Hist};
 
+use super::serving::{
+    cell_config, cell_json, pool_capacity, pool_json, telemetry_json, RING_CAPACITY,
+    SERVICE_MEAN_NS,
+};
 use crate::report::{fmt_ns, fmt_ops, Report, Table};
 
 /// Seed for every cell and for the crash sweep.
 const SEED: u64 = 0x5e14_5e14;
-
-/// Mean virtual service demand per request.
-const SERVICE_MEAN_NS: f64 = 1_000.0;
 
 /// The elastic pool's floor (and the smallest fixed pool).
 const MIN_WORKERS: usize = 2;
@@ -81,9 +82,6 @@ const ADMIT_RHO: f64 = 0.85;
 /// Shared token-bucket depth.
 const ADMIT_BURST: u64 = 256;
 
-/// Per-shard ring capacity.
-const RING_CAPACITY: usize = 1024;
-
 /// Batch size `B` of a global → stripe token refill. Deliberately large
 /// relative to a burst: `W × B` of standing stripe slack is the
 /// full-size fixed pool's loss mode.
@@ -95,7 +93,7 @@ const CRASH_OPS: u64 = 16;
 
 /// Full-pool capacity in requests per second.
 fn full_capacity_per_sec() -> f64 {
-    MAX_WORKERS as f64 * 1e9 / SERVICE_MEAN_NS
+    pool_capacity(MAX_WORKERS)
 }
 
 /// The one flash-crowd trace every cell serves: ON bursts at 2.4× the
@@ -126,38 +124,24 @@ fn scaler() -> ScalerConfig {
     }
 }
 
-fn elastic_config(requests: u64) -> ElasticConfig {
-    ElasticConfig {
-        seed: SEED,
-        process: flash_crowd(),
-        workload: Workload::Counter,
-        min_workers: MIN_WORKERS,
-        max_workers: MAX_WORKERS,
-        requests,
-        service_mean_ns: SERVICE_MEAN_NS,
-        admission: Some(admission()),
-        ring_capacity: RING_CAPACITY,
-        refill_batch: REFILL_BATCH,
-        scaler: scaler(),
-    }
-}
-
-/// One fixed-size fabric cell on the shared trace + admission.
-fn run_fixed(workers: usize, requests: u64, sinks: &ServeSinks) -> CellResult {
-    let result = run_fabric_cell(
-        &FabricConfig {
-            seed: SEED,
-            process: flash_crowd(),
-            workload: Workload::Counter,
-            workers,
-            requests,
-            service_mean_ns: SERVICE_MEAN_NS,
-            admission: Some(admission()),
-            ring_capacity: RING_CAPACITY,
+/// One cell of the sweep: a pool shape on the shared trace + admission.
+fn config(pool: Pool, requests: u64) -> CellConfig {
+    cell_config(
+        SEED,
+        flash_crowd(),
+        Workload::Counter,
+        pool,
+        Dispatch::Sharded {
             refill_batch: REFILL_BATCH,
         },
-        Some(sinks),
-    );
+        requests,
+        Some(admission()),
+    )
+}
+
+/// One fixed-size pool on the native entry.
+fn run_fixed(workers: usize, requests: u64, sinks: &ServeSinks) -> CellResult {
+    let result = run_cell(&config(Pool::Fixed(workers), requests), Some(sinks));
     eprintln!(
         "[e14_elastic] fixed w={workers}: p99={} shed={}/{} steals={}",
         fmt_ns(result.p99_ns as f64),
@@ -168,14 +152,20 @@ fn run_fixed(workers: usize, requests: u64, sinks: &ServeSinks) -> CellResult {
     result
 }
 
-fn run_elastic_on(provider: ProviderId, requests: u64, sinks: &ServeSinks) -> ElasticResult {
-    let r = run_elastic_cell_as(provider, &elastic_config(requests), Some(sinks));
+/// The elastic pool on `provider`.
+fn run_elastic_on(provider: ProviderId, requests: u64, sinks: &ServeSinks) -> CellResult {
+    let pool = Pool::Elastic {
+        min: MIN_WORKERS,
+        max: MAX_WORKERS,
+        scaler: scaler(),
+    };
+    let r = run_cell_as(provider, &config(pool, requests), Some(sinks));
     eprintln!(
         "[e14_elastic] elastic[{}]: p99={} shed={}/{} resizes={} peak={} low={}",
         provider.name(),
-        fmt_ns(r.cell.p99_ns as f64),
-        r.cell.snapshot.shed,
-        r.cell.snapshot.generated(),
+        fmt_ns(r.p99_ns as f64),
+        r.snapshot.shed,
+        r.snapshot.generated(),
         r.pool.resizes,
         r.pool.peak_workers,
         r.pool.low_workers,
@@ -183,61 +173,9 @@ fn run_elastic_on(provider: ProviderId, requests: u64, sinks: &ServeSinks) -> El
     r
 }
 
-/// Run-level telemetry block (same shape as E12's).
-fn telemetry_json(indent: &str, sinks: &ServeSinks) -> String {
-    if !nbsp_telemetry::enabled() {
-        return format!("{indent}\"telemetry\": {{\"enabled\": false}}");
-    }
-    let totals = sinks.events.totals();
-    let events = Event::ALL
-        .iter()
-        .map(|e| format!("\"{}\": {}", e.name(), totals[e.index()]))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let hist_totals = sinks.hists.totals();
-    let hists = Hist::ALL
-        .iter()
-        .map(|h| {
-            let buckets = hist_totals[*h as usize]
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{indent}    \"{}\": [{buckets}]", h.name())
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{indent}\"telemetry\": {{\n\
-         {indent}  \"enabled\": true,\n\
-         {indent}  \"events\": {{{events}}},\n\
-         {indent}  \"histograms\": {{\n{hists}\n{indent}  }}\n\
-         {indent}}}"
-    )
-}
-
-fn cell_json(r: &CellResult) -> String {
-    let snap = &r.snapshot;
-    format!(
-        "\"generated\": {}, \"admitted\": {}, \"shed\": {}, \"completed\": {}, \
-         \"steals\": {}, \"refills\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \
-         \"p99_ns\": {}, \"p999_ns\": {}",
-        snap.generated(),
-        snap.admitted,
-        snap.shed,
-        snap.completed,
-        snap.steals,
-        snap.refills,
-        r.p50_ns,
-        r.p95_ns,
-        r.p99_ns,
-        r.p999_ns,
-    )
-}
-
 fn to_json(
     fixed: &[(usize, CellResult)],
-    elastic: &[(ProviderId, ElasticResult)],
+    elastic: &[(ProviderId, CellResult)],
     crash: &SweepReport,
     requests: u64,
     sinks: &ServeSinks,
@@ -282,17 +220,10 @@ fn to_json(
     s.push_str("  \"elastic\": [\n");
     for (i, (p, r)) in elastic.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"provider\": \"{}\", {}, \"pool\": {{\"resizes\": {}, \
-             \"scale_ups\": {}, \"scale_downs\": {}, \"peak_workers\": {}, \
-             \"low_workers\": {}, \"final_workers\": {}}}}}{}\n",
+            "    {{\"provider\": \"{}\", {}, \"pool\": {}}}{}\n",
             p.name(),
-            cell_json(&r.cell),
-            r.pool.resizes,
-            r.pool.scale_ups,
-            r.pool.scale_downs,
-            r.pool.peak_workers,
-            r.pool.low_workers,
-            r.pool.final_workers,
+            cell_json(r),
+            pool_json(&r.pool),
             if i + 1 == elastic.len() { "" } else { "," },
         ));
     }
@@ -378,7 +309,7 @@ pub fn run(requests: u64, crash_trials: usize) -> Report {
             format!("{}", r.snapshot.admitted),
         ]);
     }
-    let er = &elastic_rows[0].1.cell;
+    let er = &elastic_rows[0].1;
     table.row([
         format!("elastic {MIN_WORKERS}..{MAX_WORKERS}"),
         fmt_ns(er.p50_ns as f64),

@@ -48,19 +48,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use nbsp_core::{with_provider, Provider, ProviderId};
 use nbsp_memsim::rng::SplitMix64;
-use nbsp_serve::{run_fabric_cell, ArrivalProcess, CellResult, FabricConfig, Workload};
+use nbsp_serve::{run_cell, ArrivalProcess, CellConfig, CellResult, Dispatch, Pool, Workload};
 use nbsp_structures::{ordmap_capacity, LockMap, OrdMap};
 use nbsp_telemetry::{AtomicTotals, Event};
 
+use super::serving::{cell_config, cell_json, SERVICE_MEAN_NS};
 use crate::measure::{throughput, throughput_sessions};
 use crate::report::{event_table, fmt_ns, fmt_ops, Report, Table};
 use crate::sinks::{session_loop, FlushPair, Sinks};
 
 /// Seed for every keyed cell and every per-thread key stream.
 const SEED: u64 = 0x5e15_5e15;
-
-/// Mean virtual service demand per keyed request.
-const SERVICE_MEAN_NS: f64 = 1_000.0;
 
 /// Offered rate as a fraction of each keyed cell's pool capacity —
 /// below saturation, so the tail reflects routing skew, not overload.
@@ -82,9 +80,6 @@ const UNIFORM_KEY_SPACE: u64 = 256;
 /// often enough that freezes are *observed* — that is what drives the
 /// nonzero `llx_help`/`scx_abort` gate.
 const ZIPF_TPUT_SPACE: u64 = 8;
-
-/// Per-shard ring capacity (as E12/E14).
-const RING_CAPACITY: usize = 1024;
 
 /// Global → shard token refill batch (idle here: admission is off).
 const REFILL_BATCH: u64 = 64;
@@ -119,23 +114,23 @@ const TPUT_PROVIDERS: [ProviderId; 4] = [
 /// One keyed fabric cell configuration. Everything downstream of the
 /// seed is deterministic, so the same config must reproduce the same
 /// [`CellResult`] bit for bit.
-fn keyed_config(workers: usize, requests: u64, zipf: bool) -> FabricConfig {
-    FabricConfig {
-        seed: SEED,
-        process: ArrivalProcess::Poisson {
+fn keyed_config(workers: usize, requests: u64, zipf: bool) -> CellConfig {
+    cell_config(
+        SEED,
+        ArrivalProcess::Poisson {
             rate_per_sec: KEYED_RHO * workers as f64 * 1e9 / SERVICE_MEAN_NS,
         },
-        workload: Workload::OrdMap {
+        Workload::OrdMap {
             key_space: HOT_KEY_SPACE,
             zipf,
         },
-        workers,
+        Pool::Fixed(workers),
+        Dispatch::Sharded {
+            refill_batch: REFILL_BATCH,
+        },
         requests,
-        service_mean_ns: SERVICE_MEAN_NS,
-        admission: None,
-        ring_capacity: RING_CAPACITY,
-        refill_batch: REFILL_BATCH,
-    }
+        None,
+    )
 }
 
 fn skew_name(zipf: bool) -> &'static str {
@@ -406,8 +401,8 @@ pub fn collect(requests: u64, iters: u64) -> E15Results {
     for &w in &KEYED_WORKERS {
         for zipf in [false, true] {
             let cfg = keyed_config(w, requests, zipf);
-            let a = run_fabric_cell(&cfg, None);
-            let b = run_fabric_cell(&cfg, None);
+            let a = run_cell(&cfg, None);
+            let b = run_cell(&cfg, None);
             assert_eq!(
                 a, b,
                 "gate: keyed cell w={w} {} must be byte-identical across same-seed runs",
@@ -497,23 +492,10 @@ fn keyed_json(keyed: &[(usize, bool, CellResult)]) -> String {
         .iter()
         .enumerate()
         .map(|(i, (w, zipf, r))| {
-            let snap = &r.snapshot;
             format!(
-                "    {{\"workers\": {w}, \"skew\": \"{}\", \"generated\": {}, \
-                 \"admitted\": {}, \"shed\": {}, \"completed\": {}, \"steals\": {}, \
-                 \"refills\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \
-                 \"p999_ns\": {}}}{}",
+                "    {{\"workers\": {w}, \"skew\": \"{}\", {}}}{}",
                 skew_name(*zipf),
-                snap.generated(),
-                snap.admitted,
-                snap.shed,
-                snap.completed,
-                snap.steals,
-                snap.refills,
-                r.p50_ns,
-                r.p95_ns,
-                r.p99_ns,
-                r.p999_ns,
+                cell_json(r),
                 if i + 1 == keyed.len() { "" } else { "," },
             )
         })
@@ -732,8 +714,8 @@ mod tests {
     #[test]
     fn keyed_cells_are_deterministic_and_conserve() {
         let cfg = keyed_config(2, 2_000, true);
-        let a = run_fabric_cell(&cfg, None);
-        let b = run_fabric_cell(&cfg, None);
+        let a = run_cell(&cfg, None);
+        let b = run_cell(&cfg, None);
         assert_eq!(a, b);
         assert_eq!(a.snapshot.completed, a.snapshot.generated());
     }

@@ -38,3 +38,4 @@ pub mod e5_wraparound;
 pub mod e7_structures;
 pub mod e8_interface;
 pub mod e9_bounded;
+mod serving;

@@ -107,7 +107,7 @@ pub const R7_BACKOFF_ALLOW: &[(&str, &str, &str)] = &[
     (
         "crates/serve/src/fabric.rs",
         "publish",
-        "the fixed-pool fabric has exactly one publisher; the loop exists only for providers with spurious SC failures",
+        "the producer is the only publisher; the loop exists only for providers with spurious SC failures",
     ),
     (
         "crates/llx/src/lib.rs",

@@ -176,14 +176,6 @@ const PROVIDER_ID_ALLOW: &[(&str, &str)] = &[
         "the planted-bug fixture needs a nominal id; it is never registered",
     ),
     (
-        "crates/serve/src/fabric.rs",
-        "names the fabric's default provider once; all dispatch is with_provider!",
-    ),
-    (
-        "crates/serve/src/elastic.rs",
-        "names the elastic pool's default (dynamic) provider once; all dispatch is with_provider!",
-    ),
-    (
         "crates/bench/src/experiments/e14_elastic.rs",
         "the elastic sweep's provider-equality gate compares the dynamic pair to the fixed-N baseline by id",
     ),

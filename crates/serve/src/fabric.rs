@@ -1,23 +1,25 @@
-//! The sharded serving fabric: per-worker SPSC rings, LL/SC work
-//! stealing, and striped batch admission.
+//! The fabric's mechanisms: dispatch rings with LL/SC work stealing, the
+//! shard directory, and striped batch admission.
 //!
-//! The single-ring cell in [`crate::service`] funnels every request
-//! through one head cursor and one token-bucket word. Those two words are
-//! exactly what its scaling curve measures past a handful of workers: a
-//! claim on a cursor with `W` contenders occupies it for
-//! `W ×`[`CLAIM_NS_PER_CONTENDER`] (the dispatch-contention term of the
-//! virtual model), so the single ring's capacity *falls* as `1/W` while
-//! the worker pool's capacity grows as `W`. This module removes both
-//! bottlenecks using only the registry's single-word LL/VL/SC primitives
-//! — no LLX/SCX-style multi-word coordination:
+//! A single shared ring funnels every request through one head cursor
+//! and one token-bucket word. Those two words are exactly what E12's
+//! scaling curve measures past a handful of workers: a claim on a cursor
+//! with `W` contenders occupies it for `W ×`[`CLAIM_NS_PER_CONTENDER`]
+//! (the dispatch-contention term of the virtual model), so the shared
+//! ring's capacity *falls* as `1/W` while the worker pool's capacity
+//! grows as `W`. The pieces below remove both bottlenecks using only the
+//! registry's single-word LL/VL/SC primitives — no LLX/SCX-style
+//! multi-word coordination — and the pipeline in [`crate::elastic`]
+//! composes them:
 //!
-//! * **Sharded dispatch** ([`ShardRing`]) — one ring per worker, cursors
-//!   as Figure-4-style LL/SC words behind the [`LlScVar`] trait so the
-//!   whole fabric runs on any registry provider. The producer pushes to
-//!   shard `i mod W` (wait-free on the native provider: it is the sole
-//!   tail writer, so its SC only fails on a simulated spurious-RSC
-//!   provider, which bounds the retry); a worker's pop is one LL–SC on
-//!   its own head cursor, uncontended until stealing begins.
+//! * **Dispatch rings** ([`ShardRing`]) — cursors as Figure-4-style LL/SC
+//!   words behind the [`LlScVar`] trait, so the pipeline runs on any
+//!   registry provider. The producer's push is wait-free on the native
+//!   provider (it is the sole tail writer, so its SC only fails on a
+//!   simulated spurious-RSC provider, which bounds the retry); a pop is
+//!   one LL–SC on the head cursor, uncontended on a sharded ring until
+//!   stealing begins. A shared ring is the same ring popped by every
+//!   worker.
 //! * **Work stealing** ([`ShardRing::steal_into`]) — a worker whose ring
 //!   runs dry picks a victim by seeded rotation and steals *half* the
 //!   victim's queue, committed by a **single SC** on the victim's head
@@ -31,51 +33,27 @@
 //!   traffic, and the stripes trade at most `W×B` tokens of burst slack
 //!   for that factor). Withdrawals use WLL → SC on the wide pair, so
 //!   refill accounting is never torn.
-//! * **Shard directory** ([`Directory`]) — the worker count is published
-//!   through an LL/SC word as `(generation << 8) | workers`; workers
-//!   spin on it before first pop. With a fixed pool the generation never
-//!   moves past 1, but the word is the designated hook for elastic
-//!   resize (blocked on dynamic joining; see ROADMAP).
+//! * **Shard directory** ([`Directory`]) — the active worker count is
+//!   published through an LL/SC word as `(generation << 8) | workers`;
+//!   every resize bumps the generation.
 //!
-//! ## Determinism: what is virtual and what is real
-//!
-//! Exactly as in the single-ring cell, *latency* comes from a virtual
-//! queue model that is a pure function of the seed, while the requests
-//! are really executed by real threads on the real structures. The
-//! fabric's model adds two terms: each shard's dispatch cursor is a
-//! serialized station with the **single-contender** claim cost (that is
-//! the whole point of sharding), and a request whose home server lags
-//! the pool's earliest-free server by more than [`STEAL_NS`] executes
-//! there instead, paying [`STEAL_NS`] — the model's image of steal-half.
-//! Model steals and batch refills are counted in the deterministic
-//! [`CellSnapshot`] (`steals`, `refills`); the *real* thieves' committed
-//! steals are racy by nature and are therefore reported only through
-//! `nbsp-telemetry` ([`Event::ServeSteal`]), never in the byte-identical
-//! results block. Real refills are driven by the producer's virtual
-//! clock, so [`Event::ServeRefill`] agrees exactly with the snapshot.
+//! The real thieves' committed steals are racy by nature and are
+//! therefore reported only through `nbsp-telemetry`
+//! ([`Event::ServeSteal`]), never in the byte-identical results block;
+//! the deterministic `steals` count is the virtual model's. Real refills
+//! are driven by the producer's virtual clock, so [`Event::ServeRefill`]
+//! agrees exactly with the snapshot's `refills`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use nbsp_core::provider::Fig4Native;
 use nbsp_core::wide::{WideDomain, WideKeep, WideVar};
-use nbsp_core::{with_provider, Backoff, CachePadded, LlScVar, Native, Provider, ProviderId};
-use nbsp_memsim::rng::SplitMix64;
+use nbsp_core::{Backoff, CachePadded, LlScVar, Native};
 use nbsp_memsim::ProcId;
-use nbsp_structures::stm_orec::OrecStm;
-use nbsp_structures::{Counter, Queue, Stack};
-use nbsp_telemetry::{record, Event, Flusher, HistFlusher};
+use nbsp_telemetry::{record, Event};
 
 use crate::admission::AdmissionConfig;
-use crate::loadgen::{ArrivalProcess, LoadGen, Request};
-use crate::metrics::{CellFlusher, CellSink};
-use crate::service::{
-    CellResult, MapCell, ServeSinks, Workload, CLAIM_NS_PER_CONTENDER, FLUSH_EVERY,
-};
-
-/// The registry provider a fabric cell runs on when the caller does not
-/// pick one. This is the module's only provider-id literal; everything
-/// else dispatches through `with_provider!`.
-pub const DEFAULT_PROVIDER: ProviderId = ProviderId::Fig4Native;
+use crate::loadgen::Request;
+use crate::service::CLAIM_NS_PER_CONTENDER;
 
 /// Most requests one steal transfers. Bounds the thief's stack buffer
 /// and the number of slot reads a single SC has to validate.
@@ -109,8 +87,8 @@ pub fn shard_for_key(key: u64, shards: usize) -> usize {
 /// One worker's bounded dispatch ring, generic over the registry's
 /// LL/SC variable: one producer pushes; the owning worker pops and dry
 /// peers steal, every claim committed by one SC on the head.
-/// [`crate::ring::SpmcRing`] is this ring behind a claim-once producer
-/// handle, so the argument below covers both rings.
+/// A shared ring is this ring popped by every worker, so the argument
+/// below covers both dispatch kinds.
 ///
 /// **Cursor copies.** Each cursor's line also holds that side's copy of
 /// the other side's cursor. A push LLs the tail and checks for room
@@ -376,7 +354,7 @@ impl<V: LlScVar> Directory<V> {
 
     /// Publishes a new shape: bumps the generation and stores the worker
     /// count, through an LL → SC loop (lock-free under concurrent
-    /// publishers, though the fixed-pool fabric has exactly one).
+    /// publishers, though the pipeline's producer is the only one).
     ///
     /// # Panics
     ///
@@ -602,413 +580,6 @@ impl<V: LlScVar> StripedBucket<V> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The fabric cell
-// ---------------------------------------------------------------------------
-
-/// Configuration of one fabric cell. The shared fields mean the same as
-/// in [`crate::CellConfig`]; `ring_capacity` is per shard.
-#[derive(Clone, Debug)]
-pub struct FabricConfig {
-    /// Seed for the whole cell (arrivals and service demands).
-    pub seed: u64,
-    /// Arrival process (also fixes the offered rate).
-    pub process: ArrivalProcess,
-    /// Structure under service.
-    pub workload: Workload,
-    /// Worker threads = shards = virtual servers.
-    pub workers: usize,
-    /// Requests to generate (admitted + shed).
-    pub requests: u64,
-    /// Mean virtual service demand per request, in nanoseconds.
-    pub service_mean_ns: f64,
-    /// Striped token-bucket admission, or `None` to admit everything.
-    pub admission: Option<AdmissionConfig>,
-    /// Capacity of each shard's ring (a power of two).
-    pub ring_capacity: usize,
-    /// Batch size `B` of a global → shard token refill.
-    pub refill_batch: u64,
-}
-
-/// Runs one fabric cell on the [`DEFAULT_PROVIDER`].
-///
-/// # Panics
-///
-/// As [`run_fabric_cell_as`].
-#[must_use]
-pub fn run_fabric_cell(cfg: &FabricConfig, sinks: Option<&ServeSinks>) -> CellResult {
-    run_fabric_cell_as(DEFAULT_PROVIDER, cfg, sinks)
-}
-
-/// Runs one fabric cell with its coordination words (ring cursors,
-/// directory, admission stripes) on the given registry provider,
-/// dispatched through `with_provider!`. The workload structures
-/// themselves stay on the native Figure-4 entry, exactly as in the
-/// single-ring cell — the provider under test is the *fabric's*, so the
-/// ablation isolates dispatch and admission.
-///
-/// # Panics
-///
-/// Panics on a zero `workers`/`requests`, a non-power-of-two
-/// `ring_capacity`, and if the final snapshot violates
-/// `completed == admitted`.
-#[must_use]
-pub fn run_fabric_cell_as(
-    provider: ProviderId,
-    cfg: &FabricConfig,
-    sinks: Option<&ServeSinks>,
-) -> CellResult {
-    macro_rules! run_as {
-        ($p:ty) => {
-            run_fabric_cell_for::<$p>(cfg, sinks)
-        };
-    }
-    with_provider!(provider, run_as)
-}
-
-/// The monomorphized cell body behind [`run_fabric_cell_as`].
-fn run_fabric_cell_for<P: Provider>(
-    cfg: &FabricConfig,
-    sinks: Option<&ServeSinks>,
-) -> CellResult {
-    assert!(cfg.workers > 0, "need at least one worker");
-    assert!(
-        cfg.workers < nbsp_telemetry::MAX_SLOTS,
-        "more workers than telemetry slots: two workers would share a slot"
-    );
-    assert!(cfg.requests > 0, "need at least one request");
-    let sink = CellSink::new(cfg.workers + 1).unwrap();
-
-    // The workload structures run on the registry's native Figure-4
-    // entry, as in `run_cell`; `P` supplies only the fabric's words.
-    #[allow(clippy::let_unit_value)]
-    match cfg.workload {
-        Workload::Counter => {
-            let env = Fig4Native::env(cfg.workers + 1).unwrap();
-            let c = Counter::new(Fig4Native::var(&env, 0).unwrap());
-            drive_fabric::<P, _>(cfg, &sink, sinks, |slot| {
-                let c = &c;
-                let mut tc = Fig4Native::thread_ctx(&env, slot);
-                move |_key| {
-                    c.increment(&mut Fig4Native::ctx(&mut tc));
-                }
-            });
-        }
-        Workload::Stack => {
-            let env = Fig4Native::env(cfg.workers + 1).unwrap();
-            let mut setup_tc = Fig4Native::thread_ctx(&env, cfg.workers);
-            let mut setup = Fig4Native::ctx(&mut setup_tc);
-            let st = Stack::new(
-                2 * cfg.workers + 8,
-                Fig4Native::var(&env, 0).unwrap(),
-                Fig4Native::var(&env, 0).unwrap(),
-                &mut setup,
-            );
-            drive_fabric::<P, _>(cfg, &sink, sinks, |slot| {
-                let st = &st;
-                let mut tc = Fig4Native::thread_ctx(&env, slot);
-                let v = slot as u64;
-                move |_key| {
-                    let mut ctx = Fig4Native::ctx(&mut tc);
-                    let _ = st.push(&mut ctx, v);
-                    let _ = st.pop(&mut ctx);
-                }
-            });
-        }
-        Workload::Queue => {
-            let env = Fig4Native::env(cfg.workers + 1).unwrap();
-            let mut setup_tc = Fig4Native::thread_ctx(&env, cfg.workers);
-            let mut setup = Fig4Native::ctx(&mut setup_tc);
-            let q = Queue::new(
-                2 * cfg.workers + 8,
-                || Fig4Native::var(&env, 0).unwrap(),
-                &mut setup,
-            );
-            drive_fabric::<P, _>(cfg, &sink, sinks, |slot| {
-                let q = &q;
-                let mut tc = Fig4Native::thread_ctx(&env, slot);
-                let v = slot as u64;
-                move |_key| {
-                    let mut ctx = Fig4Native::ctx(&mut tc);
-                    let _ = q.enqueue(&mut ctx, v);
-                    let _ = q.dequeue(&mut ctx);
-                }
-            });
-        }
-        Workload::Stm => {
-            let stm = OrecStm::new(&[0; 4]);
-            drive_fabric::<P, _>(cfg, &sink, sinks, |slot| {
-                let stm = &stm;
-                let p = ProcId::new(slot);
-                move |_key| {
-                    stm.transact(p, &[0, 1], |vals| {
-                        vals[0] += 1;
-                        vals[1] += 1;
-                    });
-                }
-            });
-        }
-        Workload::OrdMap { .. } => {
-            let mc = MapCell::new(cfg.workers, cfg.requests, cfg.seed);
-            drive_fabric::<P, _>(cfg, &sink, sinks, |slot| mc.op(slot));
-            mc.assert_conserved();
-        }
-    }
-
-    let snapshot = sink.snapshot();
-    assert_eq!(
-        snapshot.completed, snapshot.admitted,
-        "every admitted request must be executed exactly once"
-    );
-    CellResult {
-        snapshot,
-        p50_ns: snapshot.percentile_ns(0.50),
-        p95_ns: snapshot.percentile_ns(0.95),
-        p99_ns: snapshot.percentile_ns(0.99),
-        p999_ns: snapshot.percentile_ns(0.999),
-    }
-}
-
-/// Everything a fabric worker thread shares with its peers.
-struct FabricShared<'a, P: Provider> {
-    env: &'a P::Env,
-    rings: &'a [ShardRing<P::Var>],
-    directory: &'a Directory<P::Var>,
-    done: &'a AtomicBool,
-    sink: &'a CellSink,
-    sinks: Option<&'a ServeSinks>,
-    producer_slot: usize,
-    seed: u64,
-}
-
-/// Builds the fabric's words from one provider env, spawns the workers,
-/// runs the producer inline, joins.
-fn drive_fabric<P: Provider, F>(
-    cfg: &FabricConfig,
-    sink: &CellSink,
-    sinks: Option<&ServeSinks>,
-    mut make_op: impl FnMut(usize) -> F,
-) where
-    F: FnMut(u64) + Send,
-{
-    let env = P::env(cfg.workers + 1).expect("fabric provider env");
-    let rings: Vec<ShardRing<P::Var>> = (0..cfg.workers)
-        .map(|_| {
-            ShardRing::new(
-                cfg.ring_capacity,
-                P::var(&env, 0).unwrap(),
-                P::var(&env, 0).unwrap(),
-            )
-        })
-        .collect();
-    let directory = Directory::new(P::var(&env, 0).unwrap());
-    let bucket = cfg.admission.map(|a| {
-        let locals = (0..cfg.workers)
-            .map(|_| P::var(&env, 0).unwrap())
-            .collect();
-        StripedBucket::new(a, cfg.refill_batch, locals)
-    });
-    let done = AtomicBool::new(false);
-    let ops: Vec<F> = (0..cfg.workers).map(&mut make_op).collect();
-    let shared = FabricShared::<P> {
-        env: &env,
-        rings: &rings,
-        directory: &directory,
-        done: &done,
-        sink,
-        sinks,
-        // Same slot-collision guard as the single-ring cell (see
-        // `service::drive`): a worker that lands on the producer's
-        // telemetry slot skips telemetry flushing.
-        producer_slot: nbsp_telemetry::thread_slot(),
-        seed: cfg.seed,
-    };
-    std::thread::scope(|s| {
-        for (me, op) in ops.into_iter().enumerate() {
-            let shared = &shared;
-            s.spawn(move || fabric_worker::<P, F>(shared, me, op));
-        }
-        fabric_produce::<P>(cfg, &shared, bucket.as_ref());
-        done.store(true, Ordering::Release);
-    });
-}
-
-/// The open-loop client: directory publish, striped admission, the
-/// fabric's virtual queue model, and per-shard dispatch.
-fn fabric_produce<P: Provider>(
-    cfg: &FabricConfig,
-    shared: &FabricShared<'_, P>,
-    bucket: Option<&StripedBucket<P::Var>>,
-) {
-    let workers = cfg.workers;
-    let mut tc = P::thread_ctx(shared.env, workers);
-    let mut ctx = P::ctx(&mut tc);
-    shared.directory.publish(&mut ctx, workers);
-
-    let keyed = cfg.workload.key_dist().is_some();
-    let mut gen = match cfg.workload.key_dist() {
-        Some(dist) => LoadGen::new_keyed(cfg.seed, cfg.process, cfg.service_mean_ns, dist),
-        None => LoadGen::new(cfg.seed, cfg.process, cfg.service_mean_ns),
-    };
-    let mut cell = CellFlusher::new(workers);
-    let mut tele = shared.sinks.map(|_| (Flusher::new(), HistFlusher::new()));
-    // The virtual model, sharded: each shard's dispatch cursor is its own
-    // serialized station at the *single-contender* claim cost, and the
-    // steal rule below moves a request whose home server lags the pool's
-    // earliest-free server by more than STEAL_NS.
-    let mut dispatch_free = vec![0u64; workers];
-    let mut free = vec![0u64; workers];
-    let mut unflushed = 0u32;
-    for i in 0..cfg.requests {
-        let r = gen.next_request();
-        // Keyed workloads route by key hash (all ops on a key share a
-        // shard); unkeyed ones round-robin, fixed at generation time.
-        let shard = if keyed {
-            shard_for_key(r.key, workers)
-        } else {
-            (i % workers as u64) as usize
-        };
-        let outcome = match bucket {
-            None => AdmitOutcome::Admitted { refilled: false },
-            Some(b) => b.admit(&mut ctx, shard, r.arrival_ns),
-        };
-        match outcome {
-            AdmitOutcome::Admitted { refilled } => {
-                cell.record_admit();
-                if refilled {
-                    cell.record_refill();
-                }
-                let claimed = dispatch_free[shard].max(r.arrival_ns) + CLAIM_NS_PER_CONTENDER;
-                dispatch_free[shard] = claimed;
-                let mut best = 0;
-                for (j, &f) in free.iter().enumerate().skip(1) {
-                    if f < free[best] {
-                        best = j;
-                    }
-                }
-                let start_home = free[shard].max(claimed);
-                let start_best = free[best].max(claimed);
-                let completion = if start_best + STEAL_NS < start_home {
-                    cell.record_steal();
-                    let c = start_best + STEAL_NS + r.service_ns;
-                    free[best] = c;
-                    c
-                } else {
-                    let c = start_home + r.service_ns;
-                    free[shard] = c;
-                    c
-                };
-                cell.record_sojourn(completion - r.arrival_ns);
-                let mut backoff = Backoff::new();
-                while !shared.rings[shard].try_push(&mut ctx, r) {
-                    backoff.spin();
-                }
-            }
-            AdmitOutcome::Shed => cell.record_shed(),
-        }
-        unflushed += 1;
-        if unflushed >= FLUSH_EVERY {
-            cell.flush(shared.sink);
-            flush_telemetry(&mut tele, shared.sinks);
-            unflushed = 0;
-        }
-    }
-    cell.flush(shared.sink);
-    flush_telemetry(&mut tele, shared.sinks);
-}
-
-/// One fabric worker: drain the own ring, steal when dry, exit when the
-/// producer is done and every ring has been observed empty.
-fn fabric_worker<P: Provider, F: FnMut(u64)>(shared: &FabricShared<'_, P>, me: usize, mut op: F) {
-    let mut tc = P::thread_ctx(shared.env, me);
-    let mut ctx = P::ctx(&mut tc);
-    let mut cell = CellFlusher::new(me);
-    let shared_slot = nbsp_telemetry::thread_slot() == shared.producer_slot;
-    let mut tele = (!shared_slot)
-        .then_some(shared.sinks)
-        .flatten()
-        .map(|_| (Flusher::new(), HistFlusher::new()));
-    let mut backoff = Backoff::new();
-
-    // Wait for the producer to publish the fabric's shape.
-    let workers = loop {
-        let (generation, workers) = shared.directory.read(&mut ctx);
-        if generation > 0 {
-            break workers;
-        }
-        backoff.spin();
-    };
-    debug_assert_eq!(workers, shared.rings.len());
-    backoff.reset();
-
-    // Victim rotation is seeded per worker: deterministic *sequence* of
-    // starting points (me ⊕ cell seed), racy outcomes.
-    let mut rng = SplitMix64::new(shared.seed ^ (me as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut stash = [Request {
-        arrival_ns: 0,
-        service_ns: 0,
-        key: 0,
-    }; STEAL_MAX];
-    let mut unflushed = 0u32;
-    loop {
-        if let Some(r) = shared.rings[me].try_pop(&mut ctx) {
-            op(r.key);
-            cell.record_completed(1);
-            unflushed += 1;
-            backoff.reset();
-        } else {
-            // Dry: one steal attempt per victim, starting at a seeded
-            // rotation point, skipping self.
-            let start = (rng.next_u64() as usize) % workers;
-            let mut stolen = 0;
-            for j in 0..workers {
-                let victim = (start + j) % workers;
-                if victim == me {
-                    continue;
-                }
-                stolen = shared.rings[victim].steal_into(&mut ctx, &mut stash);
-                if stolen > 0 {
-                    break;
-                }
-            }
-            if stolen > 0 {
-                for r in &stash[..stolen] {
-                    op(r.key);
-                }
-                cell.record_completed(stolen as u64);
-                unflushed += stolen as u32;
-                backoff.reset();
-            } else {
-                // `done` is set after the final push (release/acquire);
-                // observing it and *then* finding every ring empty means
-                // the fabric is drained. Requests a peer has stolen but
-                // not yet executed are claimed, not lost: the thief
-                // executes its whole stash before re-checking.
-                if shared.done.load(Ordering::Acquire)
-                    && (0..workers).all(|w| shared.rings[w].is_empty(&mut ctx))
-                {
-                    break;
-                }
-                backoff.spin();
-            }
-        }
-        if unflushed >= FLUSH_EVERY {
-            cell.flush(shared.sink);
-            flush_telemetry(&mut tele, shared.sinks);
-            unflushed = 0;
-        }
-    }
-    cell.flush(shared.sink);
-    flush_telemetry(&mut tele, shared.sinks);
-}
-
-pub(crate) fn flush_telemetry(tele: &mut Option<(Flusher, HistFlusher)>, sinks: Option<&ServeSinks>) {
-    if let (Some((events, hists)), Some(s)) = (tele.as_mut(), sinks) {
-        events.flush(&s.events);
-        hists.flush(&s.hists);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1231,94 +802,12 @@ mod tests {
         assert_eq!(admitted, 63, "64 burst minus the one spent admit");
     }
 
-    fn small_cfg(workers: usize, rate: f64, admission: Option<AdmissionConfig>) -> FabricConfig {
-        FabricConfig {
-            seed: 0xfab_c0de,
-            process: ArrivalProcess::Poisson { rate_per_sec: rate },
-            workload: Workload::Counter,
-            workers,
-            requests: 4_000,
-            service_mean_ns: 1_000.0,
-            admission,
-            ring_capacity: 256,
-            refill_batch: 32,
-        }
-    }
-
     #[test]
-    fn fabric_cell_conserves_and_is_deterministic() {
-        let c = small_cfg(4, 3.0e6, Some(AdmissionConfig {
-            rate_per_sec: 3.4e6,
-            burst: 256,
-        }));
-        let a = run_fabric_cell(&c, None);
-        let b = run_fabric_cell(&c, None);
-        assert_eq!(a, b, "seeded fabric runs must be byte-identical");
-        assert_eq!(a.snapshot.generated(), c.requests);
-        assert_eq!(a.snapshot.completed, a.snapshot.admitted);
-    }
-
-    #[test]
-    fn fabric_beats_the_single_ring_at_scale() {
-        // The in-crate image of the E12 scaling gate: at 8 workers and
-        // 1.2x pool capacity, the single ring's dispatch cursor is past
-        // saturation (8 x 40 ns x 9.6M/s > 1) while the fabric's
-        // per-shard cursors are not.
-        use crate::service::{run_cell, CellConfig};
-        let workers = 8;
-        let rate = 1.2 * workers as f64 * 1e6;
-        let admission = Some(AdmissionConfig {
-            rate_per_sec: 0.85 * workers as f64 * 1e6,
-            burst: 256,
-        });
-        let base = run_cell(
-            &CellConfig {
-                seed: 0xfab_c0de,
-                process: ArrivalProcess::Poisson { rate_per_sec: rate },
-                workload: Workload::Counter,
-                workers,
-                requests: 20_000,
-                service_mean_ns: 1_000.0,
-                admission,
-                ring_capacity: 1024,
-            },
-            None,
-        );
-        let mut fc = small_cfg(workers, rate, admission);
-        fc.requests = 20_000;
-        fc.ring_capacity = 1024;
-        let fab = run_fabric_cell(&fc, None);
-        assert!(
-            fab.p99_ns < base.p99_ns,
-            "fabric p99 {} must beat single-ring p99 {} at 8 workers",
-            fab.p99_ns,
-            base.p99_ns
-        );
-    }
-
-    #[test]
-    fn keyed_map_cells_route_by_hash_and_stay_deterministic() {
-        let mut c = small_cfg(4, 2.0e6, None);
-        c.workload = Workload::OrdMap {
-            key_space: 32,
-            zipf: true,
-        };
-        let a = run_fabric_cell(&c, None);
-        let b = run_fabric_cell(&c, None);
-        assert_eq!(a, b, "seeded keyed fabric runs must be byte-identical");
-        assert_eq!(a.snapshot.completed, a.snapshot.admitted);
-        // The hash router spreads even a tiny key space over all shards.
+    fn the_key_router_spreads_a_tiny_key_space_over_every_shard() {
         let mut hit = [false; 4];
         for key in 0..32u64 {
             hit[shard_for_key(key, 4)] = true;
         }
         assert!(hit.iter().all(|&h| h), "router left a shard keyless");
-    }
-
-    #[test]
-    fn fabric_single_worker_never_steals() {
-        let r = run_fabric_cell(&small_cfg(1, 0.5e6, None), None);
-        assert_eq!(r.snapshot.steals, 0);
-        assert_eq!(r.snapshot.completed, r.snapshot.admitted);
     }
 }

@@ -13,46 +13,49 @@
 //!    Every request carries its *intended* arrival time; latency is
 //!    always measured against that, never against when the system got
 //!    around to it, so a backed-up run reports its real queueing delay.
-//! 2. **Dispatch** ([`ring`]) — a bounded single-producer multi-consumer
-//!    ring whose cursors are the crate's own Figure-4 LL/SC variables:
-//!    the producer's push is wait-free (single writer, its SC cannot
-//!    lose), a consumer's claim is one LL–SC on the head cursor
-//!    (lock-free: a failed SC means another consumer claimed a request).
-//! 3. **Admission control** ([`admission`]) — a token bucket whose whole
-//!    state, `(tokens, refill stamp)`, is packed into **one** LL/SC word
-//!    so an admit/shed decision is a single LL–SC sequence. Outcomes are
-//!    recorded via `nbsp-telemetry` (`serve_admit` / `serve_shed`).
+//! 2. **Dispatch** ([`fabric`]) — bounded rings whose cursors are the
+//!    registry's LL/SC variables ([`ShardRing`]): the producer's push is
+//!    wait-free (single writer, its SC cannot lose), a consumer's claim
+//!    is one LL–SC on the head cursor (lock-free: a failed SC means
+//!    another consumer claimed a request), and a dry worker steals half
+//!    of another ring's queue with a single SC.
+//! 3. **Admission control** ([`admission`], [`fabric`]) — a token bucket
+//!    whose whole state, `(tokens, refill stamp)`, is packed into **one**
+//!    LL/SC word so an admit/shed decision is a single LL–SC sequence
+//!    ([`TokenBucket`]); or per-worker stripes batch-refilled from one
+//!    global Figure-6 wide bucket ([`StripedBucket`]), whose common path
+//!    is one LL–SC on a worker-local word. Outcomes are recorded via
+//!    `nbsp-telemetry` (`serve_admit` / `serve_shed` / `serve_refill`).
 //! 4. **Metrics** ([`metrics`]) — log2 sojourn-time histograms plus
 //!    admission counters, aggregated per *cell* in one Figure-6
 //!    [`WideVar`](nbsp_core::wide::WideVar): workers publish local deltas
 //!    with WLL → add → SC, and every reported block is read with a
 //!    **single WLL** — the Theorem-4 consistent path, no racy sums.
+//! 5. **The pipeline** ([`elastic`]) — one open-loop producer and one
+//!    worker loop compose the layers. [`Pool`] picks the workers: a
+//!    `Fixed` count, or an `Elastic` pool that a deterministic
+//!    producer-driven autoscaler resizes by republishing the
+//!    [`Directory`] word, with workers joining and retiring the provider
+//!    domain per activation epoch (real membership churn on the
+//!    `dynamic` providers). [`Dispatch`] picks the rings: one `Shared`
+//!    ring behind the single-word bucket — the baseline whose claim
+//!    cursor every worker contends on — or `Sharded` rings and admission
+//!    stripes, one per worker.
 //!
-//! [`service`] glues the layers into [`service::run_cell`], which the
-//! `exp_serve` experiment sweeps over arrival rate × structure ×
-//! admission on/off to produce `BENCH_serve.json`.
-//!
-//! 5. **The sharded fabric** ([`fabric`]) — the scaling-path rebuild of
-//!    2–3: per-worker SPSC rings (one head/tail cursor pair per shard),
-//!    LL/SC steal-half work stealing when a ring runs dry, and striped
-//!    admission whose fast path is one LL–SC on a worker-local word,
-//!    batch-refilled from a global Figure-6 wide bucket. Registry-
-//!    provider-generic via `with_provider!`; E12's scaling curves sweep
-//!    it against the single-ring baseline.
-//! 6. **The elastic pool** ([`elastic`]) — the fabric with its worker
-//!    count unpinned: a deterministic producer-driven autoscaler
-//!    republishes the [`fabric::Directory`] word as load moves, workers
-//!    join/retire the provider domain per activation epoch (real
-//!    membership churn on the `dynamic` providers), and deactivated
-//!    admission stripes hand their token slack back to the global
-//!    bucket via [`fabric::StripedBucket::redistribute`]. E14 sweeps it
-//!    against fixed pool sizes under a flash crowd.
+//! [`service`] holds the cell's configuration and result and the entry
+//! points: [`run_cell`] on the registry's Figure-4 native entry and
+//! [`run_cell_as`] on any provider. E12 sweeps arrival rate × structure
+//! × admission on a shared ring and scales shared against sharded
+//! dispatch (`BENCH_serve.json`); E14 serves one flash crowd with fixed
+//! and elastic pools (`BENCH_elastic.json`); E15 routes keyed ordered-map
+//! requests by key hash (`BENCH_structures.json`).
 //!
 //! ## Why timing is virtual
 //!
 //! Completion times come from a deterministic virtual `N`-server queue
-//! model (each admitted request occupies the earliest-free virtual
-//! worker for its seeded service demand), while the request's *work* is
+//! model (each admitted request waits for its ring's claim cursor, then
+//! occupies a virtual worker for its seeded service demand; see
+//! [`elastic`] for the model), while the request's *work* is
 //! really executed by real threads against the real non-blocking
 //! structures. The split buys both halves of what the experiment needs:
 //! the real execution exercises the LL/SC stack under genuine
@@ -69,19 +72,13 @@ pub mod elastic;
 pub mod fabric;
 pub mod loadgen;
 pub mod metrics;
-pub mod ring;
 pub mod service;
 
 pub use admission::{AdmissionConfig, TokenBucket};
-pub use elastic::{
-    run_elastic_cell, run_elastic_cell_as, ElasticConfig, ElasticResult, PoolTrace, ScalerConfig,
-    DEFAULT_ELASTIC_PROVIDER,
-};
-pub use fabric::{
-    run_fabric_cell, run_fabric_cell_as, shard_for_key, AdmitOutcome, Directory, FabricConfig,
-    ShardRing, StripedBucket,
-};
+pub use elastic::{PoolTrace, ScalerConfig};
+pub use fabric::{shard_for_key, AdmitOutcome, Directory, ShardRing, StripedBucket};
 pub use loadgen::{ArrivalProcess, KeyDist, LoadGen, Request};
 pub use metrics::{percentile_ns, CellFlusher, CellSink, CellSnapshot, SOJOURN_BUCKETS};
-pub use ring::SpmcRing;
-pub use service::{run_cell, CellConfig, CellResult, ServeSinks, Workload};
+pub use service::{
+    run_cell, run_cell_as, CellConfig, CellResult, Dispatch, Pool, ServeSinks, Workload,
+};

@@ -1,24 +1,27 @@
-//! The glue: one serving *cell* = load generator + admission + dispatch
-//! ring + real workers + consistent metrics.
+//! What a serving *cell* is: its configuration, its result, the
+//! structure its workers drive, and the two entry points.
 //!
-//! [`run_cell`] executes one experiment cell. The calling thread is the
-//! open-loop client: it draws requests from the seeded [`LoadGen`],
-//! decides admission at each request's **intended** arrival time, passes
-//! admitted requests through a serialized virtual claim on the single
-//! dispatch cursor (cost [`CLAIM_NS_PER_CONTENDER`] × workers — the
-//! single-ring contention term the sharded fabric exists to remove), then
-//! assigns them to a deterministic FCFS virtual `N`-server queue (which
-//! yields the sojourn time = virtual completion − intended arrival), and
-//! pushes them into the [`SpmcRing`]. Worker threads claim
-//! requests from the ring and execute the *real* structure operation —
-//! counter increment, stack or queue push/pop pair, STM transfer — so the
-//! LL/SC stack underneath sees genuine multi-thread contention and its
-//! telemetry is real.
+//! A cell is one run of the one serving pipeline
+//! ([`crate::elastic`]): the calling thread is the open-loop client
+//! (generation, admission, the virtual queue model, dispatch) and worker
+//! threads execute the *real* structure operation for every admitted
+//! request — counter increment, stack or queue push/pop pair, STM
+//! transfer, ordered-map op — so the LL/SC stack underneath sees genuine
+//! multi-thread contention and its telemetry is real. Two parameters
+//! shape the pipeline:
+//!
+//! * [`Pool`] — `Fixed(n)` workers, or an `Elastic` pool that an
+//!   autoscaler resizes between a floor and a ceiling. A fixed pool is
+//!   exactly an elastic pool whose floor equals its ceiling.
+//! * [`Dispatch`] — `Shared`: one ring every worker pops plus the
+//!   single-word [`TokenBucket`](crate::admission::TokenBucket) (the E12
+//!   baseline); or `Sharded`: a ring and an admission stripe per worker,
+//!   with work stealing between rings (the fabric).
 //!
 //! ## Why completion times are virtual
 //!
 //! The split — real execution, virtual clock — buys both halves of what
-//! the experiment needs. Real threads racing on the real structures
+//! the experiments need. Real threads racing on the real structures
 //! exercise every help path and SC retry loop (and feed `nbsp-telemetry`
 //! through per-worker flushers). The virtual queue model makes the
 //! *latency numbers* a pure function of the seed: same seed ⇒ identical
@@ -27,44 +30,44 @@
 //! on them. A wall-clock sojourn measurement would instead report the
 //! host's scheduler.
 //!
-//! All metrics flow through [`CellFlusher`]s into the cell's single
-//! Figure-6 [`CellSink`]; the returned [`CellSnapshot`] is one WLL.
+//! All metrics flow through [`CellFlusher`](crate::CellFlusher)s into
+//! the cell's single Figure-6 [`CellSink`]; the returned [`CellSnapshot`]
+//! is one WLL.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use nbsp_core::provider::Fig4Native;
-use nbsp_core::{Backoff, Provider, WideHists, WideTotals};
+use nbsp_core::{with_provider, Provider, ProviderId, WideHists, WideTotals};
 use nbsp_memsim::ProcId;
 use nbsp_structures::stm_orec::OrecStm;
 use nbsp_structures::{ordmap_capacity, Counter, OrdMap, Queue, Stack};
-use nbsp_telemetry::{Flusher, HistFlusher};
 
-use crate::admission::{AdmissionConfig, TokenBucket};
-use crate::loadgen::{ArrivalProcess, KeyDist, LoadGen};
-use crate::metrics::{CellFlusher, CellSink, CellSnapshot};
-use crate::ring::SpmcRing;
+use crate::admission::AdmissionConfig;
+use crate::elastic::{drive, PoolTrace, ScalerConfig};
+use crate::loadgen::{ArrivalProcess, KeyDist};
+use crate::metrics::{CellSink, CellSnapshot};
 
 /// Operations between metric/telemetry flushes. Small enough that
 /// mid-run snapshots stay fresh, large enough that the WLL/SC flush loop
 /// stays off the hot path.
 pub(crate) const FLUSH_EVERY: u32 = 1024;
 
-/// Virtual cost, per contending consumer, of one claim on a shared
-/// dispatch cursor: a claim on a cursor with `W` contenders occupies the
-/// cursor for `W * CLAIM_NS_PER_CONTENDER` virtual nanoseconds.
+/// Virtual cost, per contending consumer, of one claim on a dispatch
+/// cursor: a claim on a cursor popped by `W` workers occupies it for
+/// `W * CLAIM_NS_PER_CONTENDER` virtual nanoseconds.
 ///
 /// This is the dispatch-contention term of the virtual queue model. A
-/// single SPMC head cursor serializes every claim, and each claim's cost
-/// grows with the number of contenders (failed-SC retries plus the
+/// shared ring's head cursor serializes every claim, and each claim's
+/// cost grows with the number of contenders (failed-SC retries plus the
 /// cache-line ping-pong that `exp_contention` measures directly: a
 /// contended Figure-4 CAS word costs tens to a few hundred ns per success
 /// at 2–16 threads). The constant is deliberately a round calibrated
 /// figure, not a host measurement — keeping the model a pure function of
 /// the seed is what makes runs byte-identical — but its *scaling shape*
 /// (linear in contenders, serialized at one word) is the measured one.
-/// The sharded fabric's per-worker rings pay the single-contender cost
-/// instead; that difference, and nothing else, is what the E12 scaling
-/// curves compare.
+/// Sharded rings have one owner each and pay the single-contender cost;
+/// that difference, and nothing else, is what the E12 scaling curves
+/// compare.
 pub const CLAIM_NS_PER_CONTENDER: u64 = 40;
 
 /// Which structure a cell's workers drive (one real operation per
@@ -129,6 +132,49 @@ impl Workload {
     }
 }
 
+/// The worker pool of a cell. Threads, rings, stripes and virtual
+/// servers are provisioned for the ceiling; the floor is active from
+/// the start.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pool {
+    /// `n` workers for the whole run: an elastic pool whose floor equals
+    /// its ceiling, so it never resizes.
+    Fixed(usize),
+    /// Between `min` and `max` active workers, resized by `scaler`.
+    Elastic {
+        /// Active workers the pool starts at and never shrinks below.
+        min: usize,
+        /// Pre-spawned workers the pool can grow to.
+        max: usize,
+        /// The autoscaler's policy.
+        scaler: ScalerConfig,
+    },
+}
+
+impl Pool {
+    /// `(floor, ceiling)` of the active worker count.
+    pub(crate) fn bounds(self) -> (usize, usize) {
+        match self {
+            Pool::Fixed(n) => (n, n),
+            Pool::Elastic { min, max, .. } => (min, max),
+        }
+    }
+}
+
+/// How admitted requests reach the workers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dispatch {
+    /// One ring every worker pops, admitted by the single-word
+    /// [`TokenBucket`](crate::admission::TokenBucket): every claim
+    /// contends on one head cursor (the E12 baseline).
+    Shared,
+    /// A ring and an admission stripe per worker; dry workers steal.
+    Sharded {
+        /// Batch size `B` of a global → stripe token refill.
+        refill_batch: u64,
+    },
+}
+
 /// Everything one cell needs; a pure value, so sweeps can clone and vary.
 #[derive(Clone, Debug)]
 pub struct CellConfig {
@@ -138,20 +184,23 @@ pub struct CellConfig {
     pub process: ArrivalProcess,
     /// Structure under service.
     pub workload: Workload,
-    /// Real worker threads; also the virtual server count `N`.
-    pub workers: usize,
+    /// Worker threads, which are also the virtual servers.
+    pub pool: Pool,
+    /// Shared ring or per-worker rings.
+    pub dispatch: Dispatch,
     /// Requests to generate (admitted + shed).
     pub requests: u64,
     /// Mean virtual service demand per request, in nanoseconds.
     pub service_mean_ns: f64,
     /// Token-bucket admission, or `None` to admit everything.
     pub admission: Option<AdmissionConfig>,
-    /// Dispatch ring capacity (a power of two).
+    /// Capacity of each dispatch ring (a power of two).
     pub ring_capacity: usize,
 }
 
-/// A finished cell: the consistent snapshot plus the headline sojourn
-/// percentiles (bucket upper edges, virtual nanoseconds).
+/// A finished cell: the consistent snapshot, the headline sojourn
+/// percentiles (bucket upper edges, virtual nanoseconds) and the pool's
+/// resize history. Byte-identical across same-seed runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellResult {
     /// The cell's final single-WLL metrics snapshot.
@@ -164,6 +213,8 @@ pub struct CellResult {
     pub p99_ns: u64,
     /// 99.9th percentile sojourn time.
     pub p999_ns: u64,
+    /// The autoscaler's history (no resizes for a fixed pool).
+    pub pool: PoolTrace,
 }
 
 /// Run-level consistent telemetry sinks: per-event totals and histogram
@@ -191,7 +242,8 @@ impl ServeSinks {
     }
 }
 
-/// Runs one cell to completion and returns its consistent result.
+/// Runs one cell with its coordination words (ring cursors, directory,
+/// admission stripes) on the registry's Figure-4 native entry.
 ///
 /// When `sinks` is provided, the producer and every worker also flush
 /// their `nbsp-telemetry` rows into it (periodically and at exit), so the
@@ -199,50 +251,85 @@ impl ServeSinks {
 ///
 /// # Panics
 ///
-/// Panics on a zero `workers`/`requests`, a `ring_capacity` that is not a
-/// power of two, or if the final snapshot violates
-/// `completed == admitted` (every admitted request is executed exactly
-/// once).
+/// As [`run_cell_as`].
 #[must_use]
 pub fn run_cell(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
-    assert!(cfg.workers > 0, "need at least one worker");
+    run_cell_on::<Fig4Native>(cfg, sinks)
+}
+
+/// Runs one cell with its coordination words on the given registry
+/// provider, dispatched through `with_provider!`. The workload
+/// structures themselves stay on the native Figure-4 entry, so the
+/// provider under test is the pipeline's and the ablation isolates
+/// dispatch, admission and — on the `dynamic` providers — the
+/// join/retire membership path of an elastic pool.
+///
+/// # Panics
+///
+/// Panics on a zero floor or `requests`, a floor above the ceiling, a
+/// ceiling that does not fit the directory's 8-bit count or the
+/// telemetry slot space, a zero `check_every`, a non-power-of-two
+/// `ring_capacity`, and if the final snapshot violates
+/// `completed == admitted` (every admitted request is executed exactly
+/// once, across resizes).
+#[must_use]
+pub fn run_cell_as(
+    provider: ProviderId,
+    cfg: &CellConfig,
+    sinks: Option<&ServeSinks>,
+) -> CellResult {
+    macro_rules! run_as {
+        ($p:ty) => {
+            run_cell_on::<$p>(cfg, sinks)
+        };
+    }
+    with_provider!(provider, run_as)
+}
+
+/// The monomorphized cell body: builds the workload structure and its
+/// per-worker op closures, runs the pipeline, checks the result.
+fn run_cell_on<P: Provider>(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
+    let (min, max) = cfg.pool.bounds();
+    assert!(min >= 1, "need at least one active worker");
+    assert!(min <= max, "the pool's floor must not exceed its ceiling");
+    assert!(max < 256, "directory holds 8-bit counts");
     assert!(
-        cfg.workers < nbsp_telemetry::MAX_SLOTS,
+        max < nbsp_telemetry::MAX_SLOTS,
         "more workers than telemetry slots: two workers would share a slot"
     );
     assert!(cfg.requests > 0, "need at least one request");
-    let sink = CellSink::new(cfg.workers + 1).unwrap();
+    if let Pool::Elastic { scaler, .. } = cfg.pool {
+        assert!(scaler.check_every > 0, "the autoscaler needs a window");
+    }
+    let sink = CellSink::new(max + 1).unwrap();
 
-    // The LL/SC substrate comes from the provider registry
-    // (`nbsp_core::provider`), not a local construction list; serving
-    // cells run on the registry's Figure-4 native entry. The env gets one
-    // extra context slot for structure setup (index `cfg.workers`). The
-    // `let env` bindings keep the provider's generic shape even though
-    // this entry's `Env` happens to be `()`.
+    // The structures run on the registry's Figure-4 native entry; its
+    // env has one extra context slot for setup (index `max`). The `let
+    // env` binding keeps the provider's generic shape even though this
+    // entry's `Env` happens to be `()`.
     #[allow(clippy::let_unit_value)]
-    match cfg.workload {
+    let env = Fig4Native::env(max + 1).unwrap();
+    let mut setup_tc = Fig4Native::thread_ctx(&env, max);
+    let mut setup = Fig4Native::ctx(&mut setup_tc);
+    let pool = match cfg.workload {
         Workload::Counter => {
-            let env = Fig4Native::env(cfg.workers + 1).unwrap();
             let c = Counter::new(Fig4Native::var(&env, 0).unwrap());
-            drive(cfg, &sink, sinks, |slot| {
+            drive::<P, _>(cfg, &sink, sinks, |slot| {
                 let c = &c;
                 let mut tc = Fig4Native::thread_ctx(&env, slot);
                 move |_key| {
                     c.increment(&mut Fig4Native::ctx(&mut tc));
                 }
-            });
+            })
         }
         Workload::Stack => {
-            let env = Fig4Native::env(cfg.workers + 1).unwrap();
-            let mut setup_tc = Fig4Native::thread_ctx(&env, cfg.workers);
-            let mut setup = Fig4Native::ctx(&mut setup_tc);
             let st = Stack::new(
-                2 * cfg.workers + 8,
+                2 * max + 8,
                 Fig4Native::var(&env, 0).unwrap(),
                 Fig4Native::var(&env, 0).unwrap(),
                 &mut setup,
             );
-            drive(cfg, &sink, sinks, |slot| {
+            drive::<P, _>(cfg, &sink, sinks, |slot| {
                 let st = &st;
                 let mut tc = Fig4Native::thread_ctx(&env, slot);
                 let v = slot as u64;
@@ -251,18 +338,15 @@ pub fn run_cell(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
                     let _ = st.push(&mut ctx, v);
                     let _ = st.pop(&mut ctx);
                 }
-            });
+            })
         }
         Workload::Queue => {
-            let env = Fig4Native::env(cfg.workers + 1).unwrap();
-            let mut setup_tc = Fig4Native::thread_ctx(&env, cfg.workers);
-            let mut setup = Fig4Native::ctx(&mut setup_tc);
             let q = Queue::new(
-                2 * cfg.workers + 8,
+                2 * max + 8,
                 || Fig4Native::var(&env, 0).unwrap(),
                 &mut setup,
             );
-            drive(cfg, &sink, sinks, |slot| {
+            drive::<P, _>(cfg, &sink, sinks, |slot| {
                 let q = &q;
                 let mut tc = Fig4Native::thread_ctx(&env, slot);
                 let v = slot as u64;
@@ -271,11 +355,11 @@ pub fn run_cell(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
                     let _ = q.enqueue(&mut ctx, v);
                     let _ = q.dequeue(&mut ctx);
                 }
-            });
+            })
         }
         Workload::Stm => {
             let stm = OrecStm::new(&[0; 4]);
-            drive(cfg, &sink, sinks, |slot| {
+            drive::<P, _>(cfg, &sink, sinks, |slot| {
                 let stm = &stm;
                 let p = ProcId::new(slot);
                 move |_key| {
@@ -284,14 +368,15 @@ pub fn run_cell(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
                         vals[1] += 1;
                     });
                 }
-            });
+            })
         }
         Workload::OrdMap { .. } => {
-            let mc = MapCell::new(cfg.workers, cfg.requests, cfg.seed);
-            drive(cfg, &sink, sinks, |slot| mc.op(slot));
+            let mc = MapCell::new(max, cfg.requests, cfg.seed);
+            let pool = drive::<P, _>(cfg, &sink, sinks, |slot| mc.op(slot));
             mc.assert_conserved();
+            pool
         }
-    }
+    };
 
     let snapshot = sink.snapshot();
     assert_eq!(
@@ -304,6 +389,7 @@ pub fn run_cell(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
         p95_ns: snapshot.percentile_ns(0.95),
         p99_ns: snapshot.percentile_ns(0.99),
         p999_ns: snapshot.percentile_ns(0.999),
+        pool,
     }
 }
 
@@ -401,152 +487,6 @@ impl MapCell {
     }
 }
 
-/// Spawns the workers, runs the producer inline, joins.
-fn drive<F>(
-    cfg: &CellConfig,
-    sink: &CellSink,
-    sinks: Option<&ServeSinks>,
-    mut make_op: impl FnMut(usize) -> F,
-) where
-    F: FnMut(u64) + Send,
-{
-    let ring = SpmcRing::new(cfg.ring_capacity);
-    let bucket = cfg.admission.map(TokenBucket::from_config);
-    let done = AtomicBool::new(false);
-    let ops: Vec<F> = (0..cfg.workers).map(&mut make_op).collect();
-    // Telemetry slots wrap modulo the registry size, so across a long
-    // sweep a worker can land on the producer's slot. Two live flushers
-    // mirroring one row double-publish it; a worker that collides
-    // therefore skips telemetry flushing and lets the producer's
-    // mirror-diff publish that row's whole delta exactly once.
-    let producer_slot = nbsp_telemetry::thread_slot();
-    std::thread::scope(|s| {
-        for (slot, op) in ops.into_iter().enumerate() {
-            let ring = &ring;
-            let done = &done;
-            s.spawn(move || worker_loop(ring, done, sink, slot, producer_slot, sinks, op));
-        }
-        produce(cfg, &ring, bucket.as_ref(), sink, sinks);
-        done.store(true, Ordering::Release);
-    });
-}
-
-/// The open-loop client: generation, admission, the virtual queue model,
-/// and dispatch. Runs on the calling thread (publishing under the cell's
-/// last flusher slot).
-fn produce(
-    cfg: &CellConfig,
-    ring: &SpmcRing,
-    bucket: Option<&TokenBucket>,
-    sink: &CellSink,
-    sinks: Option<&ServeSinks>,
-) {
-    let mut gen = match cfg.workload.key_dist() {
-        Some(dist) => LoadGen::new_keyed(cfg.seed, cfg.process, cfg.service_mean_ns, dist),
-        None => LoadGen::new(cfg.seed, cfg.process, cfg.service_mean_ns),
-    };
-    let mut producer = ring.producer();
-    let mut cell = CellFlusher::new(cfg.workers);
-    let mut tele = sinks.map(|_| (Flusher::new(), HistFlusher::new()));
-    // Virtual FCFS queue: per-server next-free times. Ties break to the
-    // lowest index — deterministic.
-    let mut free = vec![0u64; cfg.workers];
-    // The single dispatch ring's head cursor: every admitted request is
-    // claimed through this one serialized station before it can start
-    // service, and each claim occupies the cursor for a duration that
-    // grows with the number of contending workers (see
-    // [`CLAIM_NS_PER_CONTENDER`]). This is what makes the single-ring
-    // baseline's scaling curve bend: past the point where
-    // `rate * claim_ns >= 1` the cursor itself is the bottleneck no
-    // matter how many servers sit behind it.
-    let claim_ns = CLAIM_NS_PER_CONTENDER * cfg.workers as u64;
-    let mut dispatch_free = 0u64;
-    let mut unflushed = 0u32;
-    for _ in 0..cfg.requests {
-        let r = gen.next_request();
-        let admitted = bucket.is_none_or(|b| b.admit(r.arrival_ns));
-        if admitted {
-            cell.record_admit();
-            let claimed = dispatch_free.max(r.arrival_ns) + claim_ns;
-            dispatch_free = claimed;
-            let mut best = 0;
-            for (i, &f) in free.iter().enumerate().skip(1) {
-                if f < free[best] {
-                    best = i;
-                }
-            }
-            let start = free[best].max(claimed);
-            let completion = start + r.service_ns;
-            free[best] = completion;
-            cell.record_sojourn(completion - r.arrival_ns);
-            producer.push(r);
-        } else {
-            cell.record_shed();
-        }
-        unflushed += 1;
-        if unflushed >= FLUSH_EVERY {
-            cell.flush(sink);
-            flush_telemetry(&mut tele, sinks);
-            unflushed = 0;
-        }
-    }
-    cell.flush(sink);
-    flush_telemetry(&mut tele, sinks);
-}
-
-/// One worker: claim, execute the real operation, count, flush.
-fn worker_loop<F: FnMut(u64)>(
-    ring: &SpmcRing,
-    done: &AtomicBool,
-    sink: &CellSink,
-    slot: usize,
-    producer_slot: usize,
-    sinks: Option<&ServeSinks>,
-    mut op: F,
-) {
-    let mut cell = CellFlusher::new(slot);
-    let shared_slot = nbsp_telemetry::thread_slot() == producer_slot;
-    let mut tele = (!shared_slot)
-        .then_some(sinks)
-        .flatten()
-        .map(|_| (Flusher::new(), HistFlusher::new()));
-    let mut backoff = Backoff::new();
-    let mut unflushed = 0u32;
-    loop {
-        match ring.try_pop() {
-            Some(r) => {
-                op(r.key);
-                cell.record_completed(1);
-                unflushed += 1;
-                if unflushed >= FLUSH_EVERY {
-                    cell.flush(sink);
-                    flush_telemetry(&mut tele, sinks);
-                    unflushed = 0;
-                }
-                backoff.reset();
-            }
-            None => {
-                // `done` is set after the final push (release/acquire), so
-                // observing it *and then* still finding the ring empty
-                // means the cell is drained.
-                if done.load(Ordering::Acquire) && ring.is_empty() {
-                    break;
-                }
-                backoff.spin();
-            }
-        }
-    }
-    cell.flush(sink);
-    flush_telemetry(&mut tele, sinks);
-}
-
-fn flush_telemetry(tele: &mut Option<(Flusher, HistFlusher)>, sinks: Option<&ServeSinks>) {
-    if let (Some((events, hists)), Some(s)) = (tele.as_mut(), sinks) {
-        events.flush(&s.events);
-        hists.flush(&s.hists);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,7 +496,8 @@ mod tests {
             seed: 0x5eed,
             process: ArrivalProcess::Poisson { rate_per_sec: rate },
             workload,
-            workers: 2,
+            pool: Pool::Fixed(2),
+            dispatch: Dispatch::Shared,
             requests: 4_000,
             service_mean_ns: 1_000.0,
             admission,

@@ -1,23 +1,24 @@
-//! Integration tests for the sharded serving fabric: request
-//! conservation and seeded determinism through `run_fabric_cell_as` for
-//! **every registry provider** (the fabric's cursors, directory and
-//! admission stripes all run on the provider under test), plus a real-
-//! thread forced-starvation stress on `ShardRing` proving the steal-half
-//! SC commit never duplicates and never loses a request.
+//! Integration tests for the serving pipeline's dispatch: request
+//! conservation and seeded determinism through `run_cell_as` for
+//! **every registry provider** and both dispatch kinds (the rings'
+//! cursors, the directory and the admission stripes all run on the
+//! provider under test), plus real-thread stresses on `ShardRing`
+//! proving that neither concurrent pops nor the steal-half SC commit
+//! ever duplicate, lose or tear a request.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use nbsp::core::{for_each_provider, CasLlSc, Native, Provider, TagLayout};
 use nbsp::serve::fabric::{ShardRing, STEAL_MAX};
 use nbsp::serve::{
-    run_fabric_cell_as, AdmissionConfig, ArrivalProcess, FabricConfig, Request, Workload,
+    run_cell_as, AdmissionConfig, ArrivalProcess, CellConfig, Dispatch, Pool, Request, Workload,
 };
 
 /// Small enough that every cursor stays far below the Fig4Emu provider's
 /// 16-bit value range, big enough to force refills and (with the bursty
 /// process) steals.
-fn small_cfg() -> FabricConfig {
-    FabricConfig {
+fn small_cfg(dispatch: Dispatch) -> CellConfig {
+    CellConfig {
         seed: 0xfab_feed,
         process: ArrivalProcess::OnOff {
             on_rate_per_sec: 4.0e6, // 2x the 2-worker pool capacity
@@ -25,7 +26,8 @@ fn small_cfg() -> FabricConfig {
             off_mean_ns: 20_000.0,
         },
         workload: Workload::Counter,
-        workers: 2,
+        pool: Pool::Fixed(2),
+        dispatch,
         requests: 1_500,
         service_mean_ns: 1_000.0,
         admission: Some(AdmissionConfig {
@@ -33,15 +35,14 @@ fn small_cfg() -> FabricConfig {
             burst: 64,
         }),
         ring_capacity: 128,
-        refill_batch: 16,
     }
 }
 
-fn conserves_and_is_deterministic<P: Provider>() {
-    let cfg = small_cfg();
-    let a = run_fabric_cell_as(P::ID, &cfg, None);
-    let b = run_fabric_cell_as(P::ID, &cfg, None);
-    assert_eq!(a, b, "same-seed fabric cells must be byte-identical");
+fn conserves_and_is_deterministic<P: Provider>(dispatch: Dispatch) {
+    let cfg = small_cfg(dispatch);
+    let a = run_cell_as(P::ID, &cfg, None);
+    let b = run_cell_as(P::ID, &cfg, None);
+    assert_eq!(a, b, "same-seed cells must be byte-identical");
     let snap = &a.snapshot;
     assert_eq!(snap.generated(), cfg.requests, "every request accounted");
     assert_eq!(
@@ -54,20 +55,39 @@ fn conserves_and_is_deterministic<P: Provider>() {
         "every admitted request executed exactly once"
     );
     assert!(snap.shed > 0, "the bursty overload cell must shed");
-    assert!(snap.refills > 0, "striped admission must batch-refill");
-    assert!(
-        snap.steals > 0,
-        "the bursty 2-worker cell must exercise the steal path"
-    );
+    match dispatch {
+        Dispatch::Sharded { .. } => {
+            assert!(snap.refills > 0, "striped admission must batch-refill");
+            assert!(
+                snap.steals > 0,
+                "the bursty 2-worker cell must exercise the steal path"
+            );
+        }
+        Dispatch::Shared => assert_eq!(
+            (snap.steals, snap.refills),
+            (0, 0),
+            "one shared ring and one bucket word neither steal nor refill"
+        ),
+    }
 }
 
-// One `#[test]` per registry provider, named by the provider's slug.
+// Two `#[test]`s per registry provider, in a module named by the
+// provider's slug: one per dispatch kind.
 macro_rules! fabric_test {
     ($name:ident, $provider:ty) => {
         mod $name {
+            use nbsp::serve::Dispatch;
+
             #[test]
             fn fabric_conserves_and_is_deterministic() {
-                super::conserves_and_is_deterministic::<$provider>();
+                super::conserves_and_is_deterministic::<$provider>(Dispatch::Sharded {
+                    refill_batch: 16,
+                });
+            }
+
+            #[test]
+            fn shared_ring_conserves_and_is_deterministic() {
+                super::conserves_and_is_deterministic::<$provider>(Dispatch::Shared);
             }
         }
     };
@@ -164,6 +184,53 @@ fn steal_commit_never_duplicates_or_loses_under_starvation() {
         REQUESTS * (REQUESTS + 1) / 2,
         "consumed set is not exactly the produced set"
     );
+}
+
+/// Concurrent pops: one producer, several consumers racing LL–SC claims
+/// on one head cursor. On the two-slot ring every slot is rewritten about
+/// every other push, so a torn or stale slot read that slipped past the
+/// head SC would pair one request's fields with another's.
+#[test]
+fn every_request_consumed_exactly_once() {
+    const N: u64 = 20_000;
+    for (capacity, consumers) in [(64, 4), (2, 3)] {
+        let ring = ShardRing::new(
+            capacity,
+            CasLlSc::new_native(TagLayout::half(), 0).unwrap(),
+            CasLlSc::new_native(TagLayout::half(), 0).unwrap(),
+        );
+        let popped = AtomicU64::new(0);
+        let sum = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..consumers {
+                s.spawn(|| {
+                    let ctx = &mut Native;
+                    while popped.load(Ordering::Relaxed) < N {
+                        if let Some(r) = ring.try_pop(ctx) {
+                            assert_self_consistent(&r);
+                            sum.fetch_add(r.arrival_ns, Ordering::Relaxed);
+                            popped.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let ctx = &mut Native;
+            for n in 1..=N {
+                while !ring.try_push(ctx, seq_request(n)) {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        assert_eq!(popped.load(Ordering::Relaxed), N, "capacity {capacity}");
+        // Each value claimed exactly once <=> the sum is exact.
+        assert_eq!(
+            sum.load(Ordering::Relaxed),
+            N * (N + 1) / 2,
+            "capacity {capacity}"
+        );
+    }
 }
 
 /// The request with sequence number `n`: every field is a distinct

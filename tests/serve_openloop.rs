@@ -5,17 +5,19 @@
 //! worker threads.
 
 use nbsp::serve::{
-    run_cell, AdmissionConfig, ArrivalProcess, CellConfig, CellResult, ServeSinks, TokenBucket,
-    Workload,
+    run_cell, AdmissionConfig, ArrivalProcess, CellConfig, CellResult, Dispatch, Pool, ServeSinks,
+    TokenBucket, Workload,
 };
 
-/// 2 workers x 1 µs mean service = 2M req/s virtual capacity.
+/// 2 workers on one shared ring x 1 µs mean service = 2M req/s
+/// virtual capacity.
 fn cfg(rate_per_sec: f64, workload: Workload, admission: Option<AdmissionConfig>) -> CellConfig {
     CellConfig {
         seed: 0xfeed_beef,
         process: ArrivalProcess::Poisson { rate_per_sec },
         workload,
-        workers: 2,
+        pool: Pool::Fixed(2),
+        dispatch: Dispatch::Shared,
         requests: 30_000,
         service_mean_ns: 1_000.0,
         admission,
