@@ -117,8 +117,10 @@ fn run_one<P: Provider>(
         &mut ctx0,
         flaw,
     );
+    // All as process 0, so the records are indices `0..records` in order.
     for _ in 0..program.records {
-        d.alloc(&mut ctx0, &[], &[0]).expect("within record budget");
+        d.alloc(&mut ctx0, 0, &[], &[0])
+            .expect("within record budget");
     }
     let successes: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let bodies: Vec<_> = (0..n)

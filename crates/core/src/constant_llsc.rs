@@ -43,6 +43,7 @@
 //! recirculates the node. Hence SC succeeds iff `X` is untouched since LL.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -56,6 +57,36 @@ use crate::{CasFamily, CasMemory, Error, Native, Result};
 /// pipeline drained (at most `Nk + recirculations ≤ 3Nk` arrivals per
 /// `Nk`-step revolution); 4 gives slack without a latency cliff.
 const FILTER_PER_STEP: usize = 4;
+
+/// Hashes a `u32` node index with one multiply (Fibonacci hashing), for
+/// the private `stamps` map: every SC inserts into it and every filtered
+/// node looks up and removes, and nothing iterates it, so the default
+/// SipHash's flood resistance buys nothing there. The odd multiplier
+/// spreads consecutive indices over both the low bits (bucket) and the
+/// high bits (control byte) of the hash.
+#[derive(Clone, Copy, Debug, Default)]
+struct NodeHasher(u64);
+
+impl NodeHasher {
+    /// 2^64 / φ, rounded to odd.
+    const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(Self::FIB);
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.0 = u64::from(i).wrapping_mul(Self::FIB);
+    }
+}
 
 /// Private free-list nodes per process: covers the ≤ `9Nk` nodes that can
 /// sit in the three pipeline stages plus recirculations (see the module
@@ -180,7 +211,7 @@ impl<F: CasFamily> ConstantDomain<F> {
             retired_new: Vec::with_capacity(pool),
             retired_old: Vec::with_capacity(pool),
             filtering: Vec::with_capacity(pool),
-            stamps: HashMap::with_capacity(pool),
+            stamps: HashMap::with_capacity_and_hasher(pool, BuildHasherDefault::default()),
             rev: 1,
             filter_threshold: 0,
             scan: 0,
@@ -246,7 +277,7 @@ pub struct ConstantProc<F: CasFamily = Native> {
     /// `node → last revolution it was seen announced`, tracked **only**
     /// for nodes currently in this process's pipeline, so the map's size
     /// is bounded by the pipeline (≈ 9Nk), not by history.
-    stamps: HashMap<u32, u64>,
+    stamps: HashMap<u32, u64, BuildHasherDefault<NodeHasher>>,
     /// Current scan revolution (monotonic; u64 cannot wrap in practice).
     rev: u64,
     /// Stamps at or above this are "recently pinned": recirculate.

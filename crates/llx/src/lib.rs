@@ -68,6 +68,25 @@
 //! owner's stale keep, and the owner's fast-path SC then freezes a record
 //! that moved. [`LlxDomain`] checks [`LlScVar::INDEPENDENT_KEEPS`] at
 //! construction and refuses such providers.
+//!
+//! ## Per-process record allocation
+//!
+//! BER's design lets updates on disjoint records touch no common memory,
+//! and the arena allocator keeps it that way. One shared cursor, on its
+//! own cache line, hands out [`CHUNK`] records at a time; each process
+//! allocates from its own chunk, whose cursor lives in the spare room of
+//! that process's padded descriptor line. A single shared bump counter
+//! next to the arena pointers would instead invalidate, on every
+//! allocation, the line every LLX and field read of every other process
+//! loads at each step of its descent.
+//!
+//! The budget stays exact: the arena holds exactly `capacity` records,
+//! and a process whose chunk and the shared cursor are both empty takes
+//! the records left in other processes' chunks, one at a time, before
+//! reporting [`LlxError::Full`]. Each chunk is one `(next, end)` word
+//! that its owner and any taker advance by CAS. The allocator's words
+//! are plain atomics, outside the instrumented protocol, like the
+//! descriptor payload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -87,6 +106,11 @@ pub const MAX_V: usize = 4;
 /// right child). A domain's field count `F` is checked against it at
 /// compile time.
 pub const MAX_FIELDS: usize = 4;
+
+/// Records a process claims from the shared cursor at a time (module
+/// docs). Neighbouring records then belong to one process, so with
+/// line-aligned records two processes' fresh records never share a line.
+pub const CHUNK: usize = 64;
 
 /// Descriptor states, packed into the low two bits of the state word.
 const ST_IDLE: u64 = 0;
@@ -216,7 +240,9 @@ impl LlxSnapshot {
 /// mutable only through SCX, and `M` immutable-after-alloc `meta` words
 /// (keys, payload values) in plain atomics. One fixed-shape value stored
 /// inline in the arena: no per-record heap block, and a descent step
-/// touches one place in memory.
+/// touches one place in memory. Line-aligned, so records allocated from
+/// different processes' chunks never share a cache line.
+#[repr(align(64))]
 struct Record<V: LlScVar, const F: usize, const M: usize> {
     info: V,
     fields: [V; F],
@@ -227,6 +253,10 @@ struct Record<V: LlScVar, const F: usize, const M: usize> {
 /// release/acquire atomics: immutable between the state word's InProgress
 /// publication and the owner's next SCX, and helpers re-validate the
 /// state word after reading (see the module docs).
+///
+/// The payload is 112 B; the process's allocation chunk takes 8 B of the
+/// rest of its 128 B padded line, so per-process allocation costs no
+/// extra line.
 struct Desc {
     v_len: AtomicUsize,
     v: [AtomicUsize; MAX_V],
@@ -236,6 +266,9 @@ struct Desc {
     fld_idx: AtomicUsize,
     fld_old: AtomicU64,
     fld_new: AtomicU64,
+    /// The process's unallocated records `[next, end)`, packed by
+    /// [`pack_chunk`].
+    chunk: AtomicU64,
 }
 
 impl Desc {
@@ -249,6 +282,50 @@ impl Desc {
             fld_idx: AtomicUsize::new(0),
             fld_old: AtomicU64::new(0),
             fld_new: AtomicU64::new(0),
+            chunk: AtomicU64::new(0),
+        }
+    }
+}
+
+const _: () = assert!(
+    std::mem::size_of::<Desc>() <= 128,
+    "the chunk cursor must fit the descriptor's padded line"
+);
+
+/// A chunk `[next, end)` as one word, `end` high and `next` low, so an
+/// owner and a taker advance it by one CAS. Record indices fit 32 bits
+/// (checked at construction).
+fn pack_chunk(next: usize, end: usize) -> u64 {
+    ((end as u64) << 32) | next as u64
+}
+
+fn unpack_chunk(w: u64) -> (usize, usize) {
+    ((w & 0xFFFF_FFFF) as usize, (w >> 32) as usize)
+}
+
+fn chunk_left(w: u64) -> usize {
+    let (next, end) = unpack_chunk(w);
+    end.saturating_sub(next)
+}
+
+/// Takes the next record of a chunk, `None` if it is empty. Every value
+/// a chunk word holds is new — chunks are disjoint and `next` only grows
+/// — so a CAS from a stale read cannot succeed.
+fn take_one(chunk: &AtomicU64) -> Option<usize> {
+    let mut w = chunk.load(Ordering::Relaxed);
+    loop {
+        let (next, end) = unpack_chunk(w);
+        if next >= end {
+            return None;
+        }
+        match chunk.compare_exchange_weak(
+            w,
+            pack_chunk(next + 1, end),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => return Some(next),
+            Err(cur) => w = cur,
         }
     }
 }
@@ -368,7 +445,7 @@ fn state_of(w: u64) -> u64 {
 ///     || CasLlSc::new_native(TagLayout::half(), 0).unwrap(),
 ///     &mut ctx,
 /// );
-/// let r = d.alloc(&mut ctx, &[42], &[7]).unwrap();
+/// let r = d.alloc(&mut ctx, 0, &[42], &[7]).unwrap();
 /// let h = d.llx(&mut ctx, r).expect_linked("fresh");
 /// assert_eq!(h.field(0), 7);
 /// // SCX as process 0: V = {r}, finalize nothing, write field 0.
@@ -380,12 +457,14 @@ fn state_of(w: u64) -> u64 {
 pub struct LlxDomain<V: LlScVar, const F: usize, const M: usize> {
     n: usize,
     recs: Box<[Record<V, F, M>]>,
-    bump: AtomicUsize,
     descs: Box<[CachePadded<Desc>]>,
     states: Box<[CachePadded<V>]>,
     layout: InfoLayout,
     max_val: u64,
     flaw: Flaw,
+    /// The first record no process has claimed; advances by [`CHUNK`].
+    /// On its own line: the fields above are read at every descent step.
+    cursor: CachePadded<AtomicUsize>,
 }
 
 impl<V: LlScVar, const F: usize, const M: usize> fmt::Debug for LlxDomain<V, F, M> {
@@ -411,7 +490,8 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
     /// Panics if the provider's keeps are not independent
     /// ([`LlScVar::INDEPENDENT_KEEPS`], module docs) or the variable's
     /// value width cannot fit the info layout (needs `9 + ⌈log₂(n+1)⌉`
-    /// bits plus at least 8 version bits).
+    /// bits plus at least 8 version bits), or if `capacity` exceeds
+    /// `u32::MAX` records.
     #[must_use]
     pub fn new(
         n: usize,
@@ -455,6 +535,10 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
             "llx needs independent keeps: this provider keeps one LL-SC \
              sequence per (process, variable)"
         );
+        assert!(
+            u32::try_from(capacity).is_ok(),
+            "llx record indices are 32-bit: capacity {capacity} is too large"
+        );
         let recs: Box<[Record<V, F, M>]> = (0..capacity)
             .map(|_| Record {
                 info: make_var(),
@@ -471,12 +555,12 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
         let d = LlxDomain {
             n,
             recs,
-            bump: AtomicUsize::new(0),
             descs: (0..n).map(|_| CachePadded::new(Desc::new())).collect(),
             states,
             layout,
             max_val: probe_max,
             flaw,
+            cursor: CachePadded::new(AtomicUsize::new(0)),
         };
         for r in d.recs.iter() {
             d.force_store(ctx, &r.info, 0);
@@ -513,10 +597,22 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
         self.n
     }
 
-    /// Records still available in the lifetime budget.
+    /// Records still available in the lifetime budget: the unclaimed
+    /// tail of the arena plus what is left in every process's chunk.
+    /// Exact when no thread is allocating; a concurrent allocation can
+    /// make it lag by the records that call is handing out.
     #[must_use]
     pub fn remaining_capacity(&self) -> usize {
-        self.recs.len().saturating_sub(self.bump.load(Ordering::Relaxed))
+        let unclaimed = self
+            .recs
+            .len()
+            .saturating_sub(self.cursor.load(Ordering::Relaxed));
+        let in_chunks: usize = self
+            .descs
+            .iter()
+            .map(|d| chunk_left(d.chunk.load(Ordering::Relaxed)))
+            .sum();
+        unclaimed + in_chunks
     }
 
     /// The largest value the provider's variables can hold — the bound on
@@ -527,28 +623,61 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
         self.max_val
     }
 
-    /// Allocates a fresh record with the given immutable `meta` words and
-    /// initial mutable `fields`, returning its index. The record is
-    /// private to the caller until some SCX installs its index into a
-    /// published field.
+    /// Allocates a fresh record for process `p` with the given immutable
+    /// `meta` words and initial mutable `fields`, returning its index.
+    /// The record is private to the caller until some SCX installs its
+    /// index into a published field.
+    ///
+    /// The record comes from `p`'s own chunk, so allocations by different
+    /// processes write no common line; an empty chunk is refilled with
+    /// [`CHUNK`] records from the shared cursor, and once that is spent
+    /// too, `p` takes what is left in other processes' chunks (module
+    /// docs).
     ///
     /// # Errors
     ///
-    /// [`LlxError::Full`] when the lifetime budget is exhausted (records
-    /// are never reclaimed — the workspace-wide arena discipline).
+    /// [`LlxError::Full`] when all `capacity` records have been handed
+    /// out (records are never reclaimed — the workspace-wide arena
+    /// discipline). The one exception is a chunk another process is
+    /// claiming at that instant: its records go to that process.
     pub fn alloc(
         &self,
         ctx: &mut V::Ctx<'_>,
+        p: usize,
         meta: &[u64; M],
         fields: &[u64; F],
     ) -> Result<usize, LlxError> {
-        let idx = self.bump.fetch_add(1, Ordering::Relaxed);
-        if idx >= self.recs.len() {
-            self.bump.store(self.recs.len(), Ordering::Relaxed);
-            return Err(LlxError::Full);
-        }
+        let idx = self.claim(p).ok_or(LlxError::Full)?;
         self.reinit(ctx, idx, meta, fields);
         Ok(idx)
+    }
+
+    /// One record index for process `p`: from its own chunk, else from a
+    /// fresh chunk off the shared cursor, else from a peer's chunk.
+    ///
+    /// Relaxed throughout: the cursors only divide up indices, and a
+    /// record's contents reach other processes through the SCX that
+    /// installs it.
+    fn claim(&self, p: usize) -> Option<usize> {
+        let own = &self.descs[p].chunk;
+        if let Some(idx) = take_one(own) {
+            return Some(idx);
+        }
+        let cap = self.recs.len();
+        if self.cursor.load(Ordering::Relaxed) < cap {
+            let start = self.cursor.fetch_add(CHUNK, Ordering::Relaxed);
+            if start < cap {
+                // `own` is empty, and no taker CASes an empty chunk.
+                own.store(
+                    pack_chunk(start + 1, (start + CHUNK).min(cap)),
+                    Ordering::Relaxed,
+                );
+                return Some(start);
+            }
+        }
+        (1..self.n)
+            .map(|i| (p + i) % self.n)
+            .find_map(|q| take_one(&self.descs[q].chunk))
     }
 
     /// Rewrites a record that has **never been installed into a published
@@ -917,7 +1046,7 @@ mod tests {
     fn llx_scx_single_record_roundtrip() {
         let d = native_domain::<2>(2, 4);
         let mut ctx = Native;
-        let r = d.alloc(&mut ctx, &[11], &[1, 2]).unwrap();
+        let r = d.alloc(&mut ctx, 0, &[11], &[1, 2]).unwrap();
         assert_eq!(d.meta(r, 0), 11);
         let h = d.llx(&mut ctx, r).expect_linked("fresh");
         assert_eq!((h.field(0), h.field(1)), (1, 2));
@@ -930,7 +1059,7 @@ mod tests {
     fn scx_fails_after_conflicting_scx() {
         let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
-        let r = d.alloc(&mut ctx, &[0], &[5]).unwrap();
+        let r = d.alloc(&mut ctx, 0, &[0], &[5]).unwrap();
         let h0 = d.llx(&mut ctx, r).expect_linked("p0");
         let h1 = d.llx(&mut ctx, r).expect_linked("p1");
         assert!(d.scx(&mut ctx, 0, [h0], 0, r, 0, 6));
@@ -943,8 +1072,8 @@ mod tests {
     fn finalized_records_stay_finalized() {
         let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
-        let a = d.alloc(&mut ctx, &[0], &[1]).unwrap();
-        let b = d.alloc(&mut ctx, &[0], &[2]).unwrap();
+        let a = d.alloc(&mut ctx, 0, &[0], &[1]).unwrap();
+        let b = d.alloc(&mut ctx, 0, &[0], &[2]).unwrap();
         let ha = d.llx(&mut ctx, a).expect_linked("a");
         let hb = d.llx(&mut ctx, b).expect_linked("b");
         // V = {a, b}, finalize b (bit 1), write a.
@@ -961,8 +1090,8 @@ mod tests {
     fn multi_record_scx_validates_every_link() {
         let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
-        let a = d.alloc(&mut ctx, &[0], &[10]).unwrap();
-        let b = d.alloc(&mut ctx, &[0], &[20]).unwrap();
+        let a = d.alloc(&mut ctx, 0, &[0], &[10]).unwrap();
+        let b = d.alloc(&mut ctx, 0, &[0], &[20]).unwrap();
         let ha = d.llx(&mut ctx, a).expect_linked("a");
         let hb = d.llx(&mut ctx, b).expect_linked("b");
         // Concurrent change to b (not the written field's record):
@@ -977,7 +1106,7 @@ mod tests {
     fn vlx_detects_interference_and_quiet() {
         let d = native_domain::<1>(2, 4);
         let mut ctx = Native;
-        let r = d.alloc(&mut ctx, &[0], &[1]).unwrap();
+        let r = d.alloc(&mut ctx, 0, &[0], &[1]).unwrap();
         let h = d.llx(&mut ctx, r).expect_linked("r");
         assert!(d.vlx(&mut ctx, &[&h]));
         let s = d.llx_snapshot(&mut ctx, r).unwrap();
@@ -993,10 +1122,90 @@ mod tests {
     fn arena_budget_is_enforced() {
         let d = native_domain::<1>(1, 2);
         let mut ctx = Native;
-        assert!(d.alloc(&mut ctx, &[0], &[0]).is_ok());
-        assert!(d.alloc(&mut ctx, &[0], &[0]).is_ok());
-        assert_eq!(d.alloc(&mut ctx, &[0], &[0]), Err(LlxError::Full));
+        assert!(d.alloc(&mut ctx, 0, &[0], &[0]).is_ok());
+        assert!(d.alloc(&mut ctx, 0, &[0], &[0]).is_ok());
+        assert_eq!(d.alloc(&mut ctx, 0, &[0], &[0]), Err(LlxError::Full));
         assert_eq!(d.remaining_capacity(), 0);
+    }
+
+    #[test]
+    fn concurrent_allocation_hands_out_exactly_capacity() {
+        // Not a multiple of CHUNK, and enough for every thread to claim
+        // several chunks, so the last chunk is short and the tail runs
+        // through the take-from-peer path.
+        const THREADS: usize = 4;
+        const CAPACITY: usize = 10 * CHUNK + 17;
+        let d = native_domain::<1>(THREADS, CAPACITY);
+        let mut got: Vec<usize> = std::thread::scope(|s| {
+            (0..THREADS)
+                .map(|p| {
+                    let d = &d;
+                    s.spawn(move || {
+                        let mut ctx = Native;
+                        let mut mine = Vec::new();
+                        while let Ok(i) = d.alloc(&mut ctx, p, &[p as u64], &[0]) {
+                            mine.push(i);
+                        }
+                        mine
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(got.len(), CAPACITY, "Full only after capacity records");
+        got.sort_unstable();
+        assert_eq!(got, (0..CAPACITY).collect::<Vec<_>>(), "distinct, in range");
+        assert_eq!(d.remaining_capacity(), 0);
+        let mut ctx = Native;
+        assert_eq!(d.alloc(&mut ctx, 0, &[0], &[0]), Err(LlxError::Full));
+    }
+
+    #[test]
+    fn an_empty_process_takes_from_a_peers_chunk() {
+        let d = native_domain::<1>(2, CHUNK + 10);
+        let mut ctx = Native;
+        // p0 claims the first chunk and uses one record of it.
+        assert_eq!(d.alloc(&mut ctx, 0, &[0], &[0]), Ok(0));
+        assert_eq!(d.remaining_capacity(), CHUNK + 9);
+        // p1 claims the short last chunk and drains it.
+        for i in CHUNK..CHUNK + 10 {
+            assert_eq!(d.alloc(&mut ctx, 1, &[1], &[0]), Ok(i));
+        }
+        assert_eq!(d.remaining_capacity(), CHUNK - 1);
+        // With the shared cursor spent, p1 takes the rest of p0's chunk.
+        for i in 1..CHUNK {
+            assert_eq!(d.alloc(&mut ctx, 1, &[1], &[0]), Ok(i));
+            assert_eq!(d.remaining_capacity(), CHUNK - 1 - i);
+        }
+        assert_eq!(d.alloc(&mut ctx, 1, &[1], &[0]), Err(LlxError::Full));
+        assert_eq!(d.alloc(&mut ctx, 0, &[0], &[0]), Err(LlxError::Full));
+    }
+
+    #[test]
+    fn consecutive_allocations_are_contiguous_within_a_chunk() {
+        let d = native_domain::<1>(2, 4 * CHUNK);
+        let mut ctx = Native;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for _ in 0..CHUNK {
+            a.push(d.alloc(&mut ctx, 0, &[0], &[0]).unwrap());
+            b.push(d.alloc(&mut ctx, 1, &[1], &[0]).unwrap());
+        }
+        assert_eq!(a, (0..CHUNK).collect::<Vec<_>>());
+        assert_eq!(b, (CHUNK..2 * CHUNK).collect::<Vec<_>>());
+        // A spent chunk is replaced by the next unclaimed one.
+        assert_eq!(d.alloc(&mut ctx, 1, &[1], &[0]), Ok(2 * CHUNK));
+        assert_eq!(d.alloc(&mut ctx, 0, &[0], &[0]), Ok(3 * CHUNK));
+        assert_eq!(d.alloc(&mut ctx, 1, &[1], &[0]), Ok(2 * CHUNK + 1));
+        assert_eq!(d.remaining_capacity(), 2 * CHUNK - 3);
+    }
+
+    #[test]
+    fn a_map_record_on_fig4_native_is_one_line() {
+        // The ordered map's shape: two fields, two meta words.
+        assert_eq!(std::mem::size_of::<Record<CasLlSc<Native>, 2, 2>>(), 64);
+        assert_eq!(std::mem::align_of::<Record<CasLlSc<Native>, 2, 2>>(), 64);
     }
 
     #[test]
@@ -1008,8 +1217,8 @@ mod tests {
         const ROUNDS: usize = 2_000;
         let d = native_domain::<1>(THREADS, 4);
         let mut ctx = Native;
-        let a = d.alloc(&mut ctx, &[0], &[0]).unwrap();
-        let b = d.alloc(&mut ctx, &[0], &[0]).unwrap();
+        let a = d.alloc(&mut ctx, 0, &[0], &[0]).unwrap();
+        let b = d.alloc(&mut ctx, 0, &[0], &[0]).unwrap();
         let successes: u64 = std::thread::scope(|s| {
             (0..THREADS)
                 .map(|p| {
@@ -1047,7 +1256,7 @@ mod tests {
         use nbsp_memsim::ProcId;
         let mut c0 = ProcId::new(0);
         let d = LlxDomain::<_, 1, 1>::new(2, 4, || LockLlSc::new(2, 0), &mut c0);
-        let r = d.alloc(&mut c0, &[1], &[5]).unwrap();
+        let r = d.alloc(&mut c0, 0, &[1], &[5]).unwrap();
         let h = d.llx(&mut c0, r).expect_linked("r");
         assert!(d.scx(&mut c0, 0, [h], 0, r, 0, 6));
         assert_eq!(d.read_field(&mut c0, r, 0), 6);

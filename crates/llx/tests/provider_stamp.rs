@@ -40,8 +40,8 @@ fn protocol<P: Provider>() {
     let mut tc0 = P::thread_ctx(&env, 0);
     let mut ctx0 = P::ctx(&mut tc0);
     let d = LlxDomain::<_, 2, 1>::new(2, 8, || P::var(&env, 0).expect("provider var"), &mut ctx0);
-    let a = d.alloc(&mut ctx0, &[1], &[10, 20]).unwrap();
-    let b = d.alloc(&mut ctx0, &[2], &[30, 40]).unwrap();
+    let a = d.alloc(&mut ctx0, 0, &[1], &[10, 20]).unwrap();
+    let b = d.alloc(&mut ctx0, 0, &[2], &[30, 40]).unwrap();
 
     // Roundtrip: link, commit, re-read.
     let ha = d.llx(&mut ctx0, a).expect_linked("a");
@@ -101,8 +101,8 @@ fn alloc_reinit<P: Provider>() {
     let mut tc = P::thread_ctx(&env, 0);
     let mut ctx = P::ctx(&mut tc);
     let d = LlxDomain::<_, 2, 1>::new(1, 4, || P::var(&env, 0).expect("provider var"), &mut ctx);
-    let a = d.alloc(&mut ctx, &[5], &[3, 4]).unwrap();
-    let b = d.alloc(&mut ctx, &[6], &[0, 0]).unwrap();
+    let a = d.alloc(&mut ctx, 0, &[5], &[3, 4]).unwrap();
+    let b = d.alloc(&mut ctx, 0, &[6], &[0, 0]).unwrap();
     assert_eq!(fields_of::<P>(&d, &mut ctx, a), [3, 4]);
     assert_eq!(fields_of::<P>(&d, &mut ctx, b), [0, 0]);
     d.reinit(&mut ctx, a, &[7], &[0, 4]);
@@ -134,8 +134,8 @@ fn conservation<P: Provider>() {
         || P::var(&env, 0).expect("provider var"),
         &mut ctx_init,
     );
-    let a = d.alloc(&mut ctx_init, &[0], &[0]).unwrap();
-    let b = d.alloc(&mut ctx_init, &[0], &[0]).unwrap();
+    let a = d.alloc(&mut ctx_init, 0, &[0], &[0]).unwrap();
+    let b = d.alloc(&mut ctx_init, 0, &[0], &[0]).unwrap();
     let successes: u64 = std::thread::scope(|s| {
         (0..THREADS)
             .map(|p| {

@@ -136,10 +136,10 @@ impl<V: LlScVar> OrdMap<V> {
             "record encoding needs {capacity} values, provider holds {}",
             d.max_val()
         );
-        let l = d.alloc(ctx, &[INF1, 0], &[0, 0]).expect("capacity >= 3");
-        let r = d.alloc(ctx, &[INF2, 0], &[0, 0]).expect("capacity >= 3");
+        let l = d.alloc(ctx, 0, &[INF1, 0], &[0, 0]).expect("capacity >= 3");
+        let r = d.alloc(ctx, 0, &[INF2, 0], &[0, 0]).expect("capacity >= 3");
         let root = d
-            .alloc(ctx, &[INF2, 0], &[enc(l), enc(r)])
+            .alloc(ctx, 0, &[INF2, 0], &[enc(l), enc(r)])
             .expect("capacity >= 3");
         OrdMap { d, root }
     }
@@ -211,7 +211,7 @@ impl<V: LlScVar> OrdMap<V> {
             // linking anything: allocation failure must not strand open
             // keeps, and an aborted attempt's spares are reused (they were
             // never published, so rewriting them is legal).
-            let nl = self.take_spare(ctx, &mut spare_leaf, &[key, value], &[0, 0])?;
+            let nl = self.take_spare(ctx, p, &mut spare_leaf, &[key, value], &[0, 0])?;
             let update = leaf_key == key;
             let internal = if update {
                 None
@@ -223,6 +223,7 @@ impl<V: LlScVar> OrdMap<V> {
                 };
                 Some(self.take_spare(
                     ctx,
+                    p,
                     &mut spare_internal,
                     &[ikey, 0],
                     &[enc(cl), enc(cr)],
@@ -291,7 +292,7 @@ impl<V: LlScVar> OrdMap<V> {
             }
             let gp = gp.expect("user leaves sit at depth >= 2");
             // Reserve the sibling copy before linking (see insert).
-            let sp = self.take_spare(ctx, &mut spare, &[0, 0], &[0, 0])?;
+            let sp = self.take_spare(ctx, p, &mut spare, &[0, 0], &[0, 0])?;
             let LlxOutcome::Linked(hg) = self.d.llx(ctx, gp) else {
                 backoff.spin();
                 continue;
@@ -404,12 +405,14 @@ impl<V: LlScVar> OrdMap<V> {
         self.len(ctx) == 0
     }
 
-    /// Reuses (or allocates) a retry spare and stamps it with this
-    /// attempt's content. Spares are never published until the SCX that
-    /// installs them commits, so rewriting across retries is legal.
+    /// Reuses (or allocates, from process `p`'s chunk) a retry spare and
+    /// stamps it with this attempt's content. Spares are never published
+    /// until the SCX that installs them commits, so rewriting across
+    /// retries is legal.
     fn take_spare(
         &self,
         ctx: &mut V::Ctx<'_>,
+        p: usize,
         spare: &mut Option<usize>,
         meta: &[u64; 2],
         fields: &[u64; 2],
@@ -422,7 +425,7 @@ impl<V: LlScVar> OrdMap<V> {
             None => {
                 let rec = self
                     .d
-                    .alloc(ctx, meta, fields)
+                    .alloc(ctx, p, meta, fields)
                     .map_err(|_| StructureError::Full)?;
                 *spare = Some(rec);
                 Ok(rec)

@@ -184,18 +184,29 @@ impl<V: LlScVar> Set<V> {
     /// exhausted.
     pub fn add(&self, ctx: &mut V::Ctx<'_>, key: u64) -> Result<bool, StructureError> {
         let mut backoff = Backoff::new();
+        // The node this call splices in, allocated on the first attempt
+        // that needs it and kept across retries: it stays unpublished
+        // until the splice SC succeeds, so a retry may rewrite it and a
+        // failed splice costs no budget.
+        let mut spare: Option<usize> = None;
         loop {
             let (prev, curr) = self.search(ctx, key);
             if curr != 0 && self.keys[(curr - 1) as usize].load(Ordering::SeqCst) == key {
                 return Ok(false);
             }
-            // Allocate a fresh node (never reused; see module docs).
-            let idx = self.bump.fetch_add(1, Ordering::SeqCst);
-            if idx >= self.keys.len() {
-                self.bump.store(self.keys.len(), Ordering::SeqCst);
-                return Err(StructureError::Full);
-            }
-            self.keys[idx].store(key, Ordering::SeqCst);
+            let idx = match spare {
+                Some(idx) => idx,
+                None => {
+                    // A fresh node (never reclaimed; see module docs).
+                    let idx = self.bump.fetch_add(1, Ordering::SeqCst);
+                    if idx >= self.keys.len() {
+                        self.bump.store(self.keys.len(), Ordering::SeqCst);
+                        return Err(StructureError::Full);
+                    }
+                    self.keys[idx].store(key, Ordering::SeqCst);
+                    *spare.insert(idx)
+                }
+            };
             self.force_store(ctx, &self.next[idx], link(curr, false));
             // Splice it in after `prev` — SC fails if the window moved.
             let mut keep = V::Keep::default();
@@ -209,8 +220,7 @@ impl<V: LlScVar> Set<V> {
                 return Ok(true);
             }
             self.link_var(prev).cl(ctx, &mut keep);
-            // Window moved: the freshly allocated node is abandoned (the
-            // price of no-reclamation) and we retry after backing off.
+            // Window moved: retry with the same node after backing off.
             backoff.spin();
         }
     }
