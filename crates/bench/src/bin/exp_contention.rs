@@ -4,23 +4,20 @@
 //! (acquire/release) orderings in the `Native` provider, and bounded
 //! exponential backoff in every structure retry loop. This harness measures
 //! what each of those three knobs buys under real multi-threaded contention
-//! by sweeping the registry's four native-ablation providers (the
-//! padding × ordering corners, `ProviderMeta::native_ablation`) over the
+//! by sweeping the four padding × ordering corners of Figure 4 on native
+//! CAS (`Fig4Native` and three `Fig4NativeAblation` instances) over the
 //! Figure-4-backed structures, with backoff as the third axis:
 //!
 //! * **padding** — each LL/SC variable on its own 128-byte line vs. packed
 //!   contiguously so neighbouring links false share;
-//! * **ordering** — the shipped acquire/release `Native` provider vs. the
-//!   `fig4-native-seqcst` ablation that forces every operation to `SeqCst`
-//!   (the pre-optimization behaviour);
+//! * **ordering** — the shipped acquire/release `Native` memory vs.
+//!   `NativeSeqCst`, which forces every operation to `SeqCst` (the
+//!   pre-optimization behaviour);
 //! * **backoff** — structure retry loops back off after a failed SC
 //!   ([`backoff::set_enabled`]) vs. hammering the line immediately.
 //!
-//! The provider list comes from the registry (`nbsp_core::provider`) — this
-//! binary keeps no construction list of its own, and `--provider name[,…]`
-//! (parsed by the shared `runner::provider_filter`) restricts the sweep to
-//! any registered providers for focused runs (the ablation gate and the STM
-//! workload are skipped then, since the seed/hardened cells may be absent).
+//! Each corner is a type, and its rows are labelled from that type's
+//! `Corner` constants.
 //!
 //! A fourth workload drives [`OrecStm`], whose phase-1 orec acquisition is
 //! a spin lock: there the backoff axis decides whether a waiter burns its
@@ -49,13 +46,49 @@ use std::process::ExitCode;
 
 use nbsp_bench::measure::throughput_sessions;
 use nbsp_bench::report::{event_table, fmt_ops, Report, Table};
-use nbsp_bench::runner::{provider_filter, ProviderFilter};
 use nbsp_bench::sinks::{session_loop, FlushPair, Sinks};
-use nbsp_core::{backoff, with_provider, Provider, ProviderId};
+use nbsp_core::provider::{Fig4Native, Fig4NativeAblation};
+use nbsp_core::{backoff, CachePadded, CasLlSc, Native, NativeSeqCst, Provider};
 use nbsp_memsim::ProcId;
 use nbsp_structures::stm_orec::OrecStm;
 use nbsp_structures::{Counter, Queue, Stack};
 use nbsp_telemetry::{AtomicHists, AtomicTotals, Event, Hist, EVENT_COUNT};
+
+// ---------------------------------------------------------------------------
+// The padding × ordering corners.
+// ---------------------------------------------------------------------------
+
+/// One variable per slot, neighbours sharing cache lines.
+type Packed = CasLlSc<Native>;
+/// One variable per 128-byte line.
+type Padded = CachePadded<CasLlSc<Native>>;
+
+/// A corner of the padding × ordering matrix: the provider it runs and the
+/// labels its rows carry.
+trait Corner: Provider {
+    const PADDED: bool;
+    const ORDERING: &'static str;
+}
+
+impl Corner for Fig4Native {
+    const PADDED: bool = false;
+    const ORDERING: &'static str = "acqrel";
+}
+
+impl Corner for Fig4NativeAblation<NativeSeqCst, Packed> {
+    const PADDED: bool = false;
+    const ORDERING: &'static str = "seqcst";
+}
+
+impl Corner for Fig4NativeAblation<Native, Padded> {
+    const PADDED: bool = true;
+    const ORDERING: &'static str = "acqrel";
+}
+
+impl Corner for Fig4NativeAblation<NativeSeqCst, Padded> {
+    const PADDED: bool = true;
+    const ORDERING: &'static str = "seqcst";
+}
 
 // ---------------------------------------------------------------------------
 // Workloads, generic over any registered provider.
@@ -221,7 +254,9 @@ fn print_cell_events(quick: bool, before: &[u64; EVENT_COUNT], sinks: &Sinks, to
     }
 }
 
-fn sweep_provider<P: Provider>(
+type Sweep = fn(&[usize], u64, usize, bool, &Sinks, &mut FlushPair, &mut Vec<Row>);
+
+fn sweep_corner<P: Corner>(
     threads_list: &[usize],
     per_thread: u64,
     runs: usize,
@@ -230,7 +265,6 @@ fn sweep_provider<P: Provider>(
     main: &mut FlushPair,
     rows: &mut Vec<Row>,
 ) {
-    let meta = P::ID.meta();
     let workloads: [(&'static str, Workload); 3] = [
         ("counter", counter_tput::<P>),
         ("stack", stack_tput::<P>),
@@ -243,18 +277,17 @@ fn sweep_provider<P: Provider>(
                 let before = sinks.events.totals();
                 let ops = median_tput(runs, || work(threads, per_thread, sinks, main));
                 eprintln!(
-                    "[exp_contention] {structure} t={threads} provider={} padded={} ordering={} backoff={use_backoff}: {}",
-                    meta.name,
-                    meta.padded,
-                    meta.ordering,
+                    "[exp_contention] {structure} t={threads} padded={} ordering={} backoff={use_backoff}: {}",
+                    P::PADDED,
+                    P::ORDERING,
                     fmt_ops(ops),
                 );
                 print_cell_events(quick, &before, sinks, runs as u64 * threads as u64 * per_thread);
                 rows.push(Row {
                     structure,
                     threads,
-                    padded: meta.padded,
-                    ordering: meta.ordering,
+                    padded: P::PADDED,
+                    ordering: P::ORDERING,
                     backoff: use_backoff,
                     ops_per_sec: ops,
                 });
@@ -403,25 +436,8 @@ fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Which providers this binary sweeps: the registry's native-ablation
-/// corners by default, or exactly the `--provider` list when given.
-fn should_sweep(id: ProviderId, filter: &ProviderFilter) -> bool {
-    if filter.is_restricted() {
-        filter.allows(id)
-    } else {
-        id.meta().native_ablation
-    }
-}
-
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
-    let filter = match provider_filter() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("[exp_contention] {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let threads_list: &[usize] = &[1, 2, 4, 8];
     // Each thread's work must span many scheduler quanta (several ms at
     // least), otherwise on an oversubscribed host the threads simply run
@@ -436,29 +452,17 @@ fn main() -> ExitCode {
     // worker slots from being double-published (see FlushPair::resync).
     let mut main_flush = FlushPair::new();
 
+    let corners: [Sweep; 4] = [
+        sweep_corner::<Fig4Native>,
+        sweep_corner::<Fig4NativeAblation<NativeSeqCst, Packed>>,
+        sweep_corner::<Fig4NativeAblation<Native, Padded>>,
+        sweep_corner::<Fig4NativeAblation<NativeSeqCst, Padded>>,
+    ];
     let mut rows = Vec::new();
-    for id in ProviderId::ALL {
-        if !should_sweep(id, &filter) {
-            continue;
-        }
-        macro_rules! sweep_one {
-            ($p:ty) => {
-                sweep_provider::<$p>(
-                    threads_list,
-                    per_thread,
-                    runs,
-                    quick,
-                    &sinks,
-                    &mut main_flush,
-                    &mut rows,
-                )
-            };
-        }
-        with_provider!(id, sweep_one);
+    for sweep in corners {
+        sweep(threads_list, per_thread, runs, quick, &sinks, &mut main_flush, &mut rows);
     }
-    if !filter.is_restricted() {
-        sweep_stm(threads_list, stm_per_thread, runs, quick, &sinks, &mut main_flush, &mut rows);
-    }
+    sweep_stm(threads_list, stm_per_thread, runs, quick, &sinks, &mut main_flush, &mut rows);
 
     // Markdown report: one table per structure, one row per thread count,
     // seed configuration vs. hardened configuration plus the single-knob
@@ -497,21 +501,19 @@ fn main() -> ExitCode {
         report.heading(structure);
         report.table(&table);
     }
-    if !filter.is_restricted() {
-        let mut table = Table::new(["threads", "no backoff", "backoff", "speedup"]);
-        for &t in threads_list {
-            let seed = find(&rows, "stm_orec", t, true, "acqrel", false);
-            let hardened = find(&rows, "stm_orec", t, true, "acqrel", true);
-            table.row([
-                t.to_string(),
-                fmt_ops(seed),
-                fmt_ops(hardened),
-                format!("{:.2}x", hardened / seed),
-            ]);
-        }
-        report.heading("stm_orec (orec spin-acquire: backoff axis only)");
-        report.table(&table);
+    let mut table = Table::new(["threads", "no backoff", "backoff", "speedup"]);
+    for &t in threads_list {
+        let seed = find(&rows, "stm_orec", t, true, "acqrel", false);
+        let hardened = find(&rows, "stm_orec", t, true, "acqrel", true);
+        table.row([
+            t.to_string(),
+            fmt_ops(seed),
+            fmt_ops(hardened),
+            format!("{:.2}x", hardened / seed),
+        ]);
     }
+    report.heading("stm_orec (orec spin-acquire: backoff axis only)");
+    report.table(&table);
     print!("{}", report.to_markdown());
 
     let json = to_json(&rows, threads_list, per_thread, runs, &sinks);
@@ -523,12 +525,6 @@ fn main() -> ExitCode {
         "[exp_contention] wrote BENCH_contention.json ({} rows)",
         rows.len()
     );
-
-    // A `--provider`-restricted run is a focused debugging sweep: the
-    // seed/hardened ablation cells may be absent, so the gate is skipped.
-    if filter.is_restricted() {
-        return ExitCode::SUCCESS;
-    }
 
     // Acceptance gate: at every thread count >= 4 the hardened
     // configuration must beat the seed configuration on the geometric mean

@@ -397,7 +397,7 @@ pub fn collect(iters: u64, quick: bool) -> E16Results {
 #[must_use]
 pub fn gates(r: &E16Results) -> Vec<(String, bool)> {
     let mut gates = vec![(
-        "registry_has_17_providers".to_string(),
+        "registry_fully_listed".to_string(),
         r.listing.len() == ProviderId::ALL.len(),
     )];
     for s in &r.stamps {
@@ -565,12 +565,17 @@ mod tests {
     #[test]
     fn quick_matrix_passes_all_gates() {
         let r = collect(4_000, true);
-        assert_eq!(r.listing.len(), 17, "every registry entry is listed");
+        assert_eq!(r.listing.len(), 13, "every registry entry is listed");
         assert_eq!(r.stamps.len(), WEAK.len());
-        enforce(&r);
+        // The deterministic verdicts only: the wall-clock `ordering` ones
+        // flip when other tests share the host, and stay enforced by
+        // `exp_hierarchy` and CI's artifact check.
+        for (name, ok) in gates(&r) {
+            assert!(ok, "E16 gate '{name}' failed");
+        }
         let json = to_json(&r);
         assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("\"provider_count\": 17"));
+        assert!(json.contains("\"provider_count\": 13"));
         assert!(json.contains("\"cas-from-swap\""));
         assert!(json.contains("\"feb-llsc\""));
     }

@@ -15,9 +15,10 @@
 //!   variable (the paper's line-13/14 counter argument).
 //!
 //! Plus the **constant-time ablation**: the registry's `fig7-bounded`
-//! (O(1) indexed tag queue), `fig7-bounded-scan` (Figure 7 line 10 as
-//! written — an O(Nk) scan per successful SC), and `constant`
-//! (Blelloch–Wei, O(1) worst-case by construction) providers run the same
+//! (O(1) indexed tag queue), the same provider over the scan queue
+//! (`Fig7Bounded<ScanQueue>`, rows labelled `fig7-bounded-scan`: Figure 7
+//! line 10 as written — an O(Nk) scan per successful SC), and `constant`
+//! (Blelloch–Wei, O(1) worst-case by construction) run the same
 //! contended-exactness audit and a single-threaded worst-case SC latency
 //! profile across domain sizes N. The deterministic gate: the scan
 //! provider's tail latency must grow with N while the constant provider's
@@ -33,7 +34,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use nbsp_core::bounded::BoundedDomain;
-use nbsp_core::{with_provider, LlScVar, Native, Provider, ProviderId};
+use nbsp_core::provider::{ConstantTime, Fig7Bounded};
+use nbsp_core::{with_provider, LlScVar, Native, Provider, ProviderId, ScanQueue};
 
 use crate::report::{Report, Table};
 use crate::runner::ProviderFilter;
@@ -104,15 +106,6 @@ pub fn min_stamp_reuse_distance(n: usize, k: usize, ops: u64) -> u64 {
 // Constant-time ablation over registry providers.
 // ---------------------------------------------------------------------------
 
-/// The providers the ablation compares: Figure 7 with the O(1) indexed
-/// tag queue, Figure 7 with the paper-literal O(Nk) scan, and the
-/// Blelloch–Wei constant-time construction.
-const ABLATION: [ProviderId; 3] = [
-    ProviderId::Fig7Bounded,
-    ProviderId::Fig7BoundedScan,
-    ProviderId::ConstantTime,
-];
-
 /// The weak-primitive tier rides along through the contended-exactness
 /// audit only — the "cost of weakening the hardware" column. The
 /// emulations must be exactly as lossless as the native-CAS disciplines;
@@ -167,7 +160,7 @@ pub struct E9Results {
 
 /// Two writers race `per_thread` increments each; a third context reads
 /// the final value. Exactness means no SC ever falsely succeeded.
-fn provider_exactness<P: Provider>(per_thread: u64) -> ProviderExactness {
+fn provider_exactness<P: Provider>(provider: &'static str, per_thread: u64) -> ProviderExactness {
     let env = P::env(3).expect("provider env");
     let var = P::var(&env, 0).expect("provider var");
     std::thread::scope(|s| {
@@ -191,7 +184,7 @@ fn provider_exactness<P: Provider>(per_thread: u64) -> ProviderExactness {
     let mut tc = P::thread_ctx(&env, 2);
     let mut ctx = P::ctx(&mut tc);
     ProviderExactness {
-        provider: P::ID.meta().name,
+        provider,
         expected: 2 * per_thread,
         observed: var.read(&mut ctx),
     }
@@ -222,9 +215,33 @@ fn sc_latency_profile<P: Provider>(n: usize, ops: u64) -> (u64, u64, u64) {
     (samples[len / 2], p99, samples[len - 1])
 }
 
+/// Exactness and the latency profile for one ablation provider, in rows
+/// labelled `provider`.
+fn ablate<P: Provider>(
+    provider: &'static str,
+    per_thread: u64,
+    sizes: &[usize],
+    ops: u64,
+    exactness: &mut Vec<ProviderExactness>,
+    latency: &mut Vec<LatencyRow>,
+) {
+    exactness.push(provider_exactness::<P>(provider, per_thread));
+    for &n in sizes {
+        let (p50_ns, p99_ns, max_ns) = sc_latency_profile::<P>(n, ops);
+        latency.push(LatencyRow {
+            provider,
+            n,
+            p50_ns,
+            p99_ns,
+            max_ns,
+        });
+    }
+}
+
 /// Runs every E9 measurement. `filter` restricts which ablation providers
-/// run (`--provider` on `exp_bounded_audit`); the growth gates are only
-/// meaningful on an unrestricted run.
+/// run (`--provider` on `exp_bounded_audit`; `fig7-bounded` selects both
+/// of its tag queues); the growth gates are only meaningful on an
+/// unrestricted run.
 #[must_use]
 pub fn collect(per_thread: u64, quick: bool, filter: &ProviderFilter) -> E9Results {
     let audit = exactness_audit(per_thread);
@@ -238,26 +255,17 @@ pub fn collect(per_thread: u64, quick: bool, filter: &ProviderFilter) -> E9Resul
     let (exact_per_thread, latency_ops) = if quick { (20_000, 8_000) } else { (100_000, 40_000) };
     let mut exactness = Vec::new();
     let mut latency = Vec::new();
-    for id in ABLATION {
-        if !filter.allows(id) {
-            continue;
-        }
-        macro_rules! ablate_one {
-            ($p:ty) => {{
-                exactness.push(provider_exactness::<$p>(exact_per_thread));
-                for &n in sizes {
-                    let (p50_ns, p99_ns, max_ns) = sc_latency_profile::<$p>(n, latency_ops);
-                    latency.push(LatencyRow {
-                        provider: id.meta().name,
-                        n,
-                        p50_ns,
-                        p99_ns,
-                        max_ns,
-                    });
-                }
-            }};
-        }
-        with_provider!(id, ablate_one);
+    // Figure 7 with the O(1) indexed tag queue, Figure 7 with the
+    // paper-literal O(Nk) scan, and the Blelloch–Wei construction.
+    let (e, l) = (&mut exactness, &mut latency);
+    let (per, ops) = (exact_per_thread, latency_ops);
+    let (fig7, constant) = (ProviderId::Fig7Bounded, ProviderId::ConstantTime);
+    if filter.allows(fig7) {
+        ablate::<Fig7Bounded>(fig7.name(), per, sizes, ops, e, l);
+        ablate::<Fig7Bounded<ScanQueue>>("fig7-bounded-scan", per, sizes, ops, e, l);
+    }
+    if filter.allows(constant) {
+        ablate::<ConstantTime>(constant.name(), per, sizes, ops, e, l);
     }
     for id in WEAK {
         if !filter.allows(id) {
@@ -265,22 +273,19 @@ pub fn collect(per_thread: u64, quick: bool, filter: &ProviderFilter) -> E9Resul
         }
         macro_rules! weak_one {
             ($p:ty) => {
-                exactness.push(provider_exactness::<$p>(exact_per_thread))
+                exactness.push(provider_exactness::<$p>(id.name(), exact_per_thread))
             };
         }
         with_provider!(id, weak_one);
     }
 
-    let growth = ABLATION
-        .iter()
-        .filter_map(|id| {
-            let rows: Vec<&LatencyRow> = latency
-                .iter()
-                .filter(|r| r.provider == id.meta().name)
-                .collect();
-            let first = rows.first()?;
-            let last = rows.last()?;
-            Some((id.meta().name, last.p99_ns as f64 / first.p99_ns as f64))
+    // Rows are provider-major, N-ascending: each provider's first and last
+    // rows are its smallest and largest N.
+    let growth = latency
+        .chunk_by(|a, b| a.provider == b.provider)
+        .map(|rows| {
+            let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+            (first.provider, last.p99_ns as f64 / first.p99_ns as f64)
         })
         .collect();
 
@@ -380,10 +385,10 @@ pub fn render(r: &E9Results) -> Report {
 
     report.para(
         "Constant-time ablation: the same contended-exactness audit over \
-         the registry's three tag-recycling disciplines (2 writers, 1 \
-         reader). The cas-from-swap and feb-llsc rows are the \
-         weak-primitive tier riding the same audit — weakening the \
-         hardware may cost throughput, never exactness:",
+         the three tag-recycling disciplines (2 writers, 1 reader). The \
+         cas-from-swap and feb-llsc rows are the weak-primitive tier \
+         riding the same audit — weakening the hardware may cost \
+         throughput, never exactness:",
     );
     let mut t = Table::new(["provider", "expected", "observed"]);
     for e in &r.exactness {
@@ -533,7 +538,7 @@ mod tests {
         for e in &r.exactness {
             assert_eq!(e.expected, e.observed, "provider {} lost updates", e.provider);
         }
-        assert_eq!(r.exactness.len(), ABLATION.len() + WEAK.len());
+        assert_eq!(r.exactness.len(), 3 + WEAK.len(), "three ablation rows + WEAK");
         for id in WEAK {
             assert!(
                 r.exactness.iter().any(|e| e.provider == id.meta().name),

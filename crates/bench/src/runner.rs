@@ -25,12 +25,6 @@ impl ProviderFilter {
     pub fn allows(&self, id: ProviderId) -> bool {
         self.ids.as_ref().is_none_or(|ids| ids.contains(&id))
     }
-
-    /// True iff the user restricted the set at all.
-    #[must_use]
-    pub fn is_restricted(&self) -> bool {
-        self.ids.is_some()
-    }
 }
 
 /// Parses `--provider name[,name…]` (repeatable) from the process's
@@ -196,7 +190,6 @@ mod tests {
     #[test]
     fn unrestricted_filter_allows_everything() {
         let f = ProviderFilter::default();
-        assert!(!f.is_restricted());
         for id in ProviderId::ALL {
             assert!(f.allows(id));
         }
@@ -207,7 +200,6 @@ mod tests {
         let f = ProviderFilter {
             ids: Some(vec![ProviderId::ConstantTime]),
         };
-        assert!(f.is_restricted());
         assert!(f.allows(ProviderId::ConstantTime));
         assert!(!f.allows(ProviderId::Fig4Native));
     }

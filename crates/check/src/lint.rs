@@ -168,10 +168,6 @@ const PROVIDER_ID_ALLOW: &[(&str, &str)] = &[
         "the structures ablation selects registry subsets by id",
     ),
     (
-        "crates/bench/src/bin/exp_contention.rs",
-        "the native padding/ordering ablation matrix selects the four Figure-4 corners",
-    ),
-    (
         "crates/check/src/planted.rs",
         "the planted-bug fixture needs a nominal id; it is never registered",
     ),

@@ -44,8 +44,9 @@ use crate::{CasFamily, CasMemory, Error, Native, Result, TagQueue};
 /// Figure 7's `Q`.
 ///
 /// Behaviourally identical (differentially tested in `tag_queue`); only the
-/// per-SC cost differs. E9 registers one provider per policy so the gap is
-/// measured rather than asserted.
+/// per-SC cost differs. E9 runs the `fig7-bounded` provider under each
+/// policy (`Fig7Bounded<ScanQueue>` for the scan) so the gap is measured
+/// rather than asserted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TagPolicy {
     /// The paper's constant-time remark: circular doubly-linked list with a
@@ -55,6 +56,21 @@ pub enum TagPolicy {
     /// `delete(Q, t)` linearly searches all `2Nk + 1` tags
     /// ([`ScanQueue`]). O(Nk) per SC — the E9 ablation baseline.
     Scan,
+}
+
+/// A tag-queue type that names its [`TagPolicy`], so a provider can take
+/// Figure 7's `Q` as a type parameter (`Fig7Bounded<ScanQueue>`).
+pub trait QueuePolicy: 'static {
+    /// The policy a domain runs for this queue type.
+    const POLICY: TagPolicy;
+}
+
+impl QueuePolicy for TagQueue {
+    const POLICY: TagPolicy = TagPolicy::Indexed;
+}
+
+impl QueuePolicy for ScanQueue {
+    const POLICY: TagPolicy = TagPolicy::Scan;
 }
 
 /// Private dispatch between the two [`TagPolicy`] implementations. An enum
@@ -861,6 +877,65 @@ mod tests {
                 }
                 assert_eq!(v.peek(&Native), model, "case {case}");
                 assert_eq!(me.free_slots(), k);
+            }
+        }
+
+        /// The two tag policies are one queue at two costs: a seeded
+        /// LL/VL/SC/CL program over three processes, interleaved on one
+        /// thread, returns the same value and leaves the same (tag, cnt,
+        /// pid) stamps at every step on an `Indexed` and a `Scan` domain.
+        #[test]
+        fn scan_domain_matches_indexed_domain() {
+            type Step = (u64, [(u64, u64, usize); 2]);
+            fn trace(policy: TagPolicy) -> Vec<Step> {
+                let (n, k) = (3, 2);
+                let d = BoundedDomain::<Native>::new_with_policy(n, k, policy).unwrap();
+                let vars = [d.var(0).unwrap(), d.var(0).unwrap()];
+                let mut procs: Vec<_> = (0..n).map(|p| d.proc(p)).collect();
+                let mut open: Vec<Vec<(usize, BoundedKeep)>> = (0..n).map(|_| Vec::new()).collect();
+                let mut rng = SplitMix64::new(0xb0d0_0003);
+                let mut steps = Vec::new();
+                for _ in 0..4_000 {
+                    let p = rng.next_index(n);
+                    let (me, open) = (&mut procs[p], &mut open[p]);
+                    let returned = match rng.next_index(4) {
+                        0 if open.len() < k => {
+                            let x = rng.next_index(vars.len());
+                            let (v, keep) = vars[x].ll(&Native, me);
+                            open.push((x, keep));
+                            v
+                        }
+                        1 if !open.is_empty() => {
+                            let (x, keep) = &open[rng.next_index(open.len())];
+                            u64::from(vars[*x].vl(&Native, me, keep))
+                        }
+                        2 if !open.is_empty() => {
+                            let (x, keep) = open.swap_remove(rng.next_index(open.len()));
+                            u64::from(vars[x].sc(&Native, me, keep, rng.next_below(256)))
+                        }
+                        3 if !open.is_empty() => {
+                            let (_, keep) = open.swap_remove(rng.next_index(open.len()));
+                            me.cl(keep);
+                            0
+                        }
+                        _ => u64::MAX,
+                    };
+                    let stamps = [
+                        vars[0].current_stamp(&Native),
+                        vars[1].current_stamp(&Native),
+                    ];
+                    steps.push((returned, stamps));
+                }
+                steps
+            }
+            let indexed = trace(TagPolicy::Indexed);
+            let scan = trace(TagPolicy::Scan);
+            // Each committed SC changes a stamp; more commits than the
+            // 2Nk + 1 = 13 tags means the queues wrapped.
+            let commits = indexed.windows(2).filter(|w| w[0].1 != w[1].1).count();
+            assert!(commits > 13, "the program must wrap the tag universe");
+            for (i, (a, b)) in indexed.iter().zip(&scan).enumerate() {
+                assert_eq!(a, b, "step {i}");
             }
         }
     }

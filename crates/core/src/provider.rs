@@ -35,20 +35,22 @@
 //!    state out of the thread context, so it may be called only once per
 //!    `thread_ctx` result; call it once per session and reuse the result.
 
+use std::borrow::Borrow;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use nbsp_memsim::{Capability, InstructionSet, Machine, ProcId, Processor};
 
 use nbsp_memsim::{PWord, VWord};
 
-use crate::bounded::{BoundedDomain, BoundedProc, BoundedVar, TagPolicy};
+use crate::bounded::{BoundedDomain, BoundedProc, BoundedVar, QueuePolicy};
 use crate::constant_llsc::{ConstantDomain, ConstantProc, ConstantVar};
 use crate::dynamic_llsc::{DynProc, DynamicDomain, DynamicVar};
 use crate::keep_search::{KeepRegistry, PerVarKeepVar, RegistryKeepVar};
 use crate::lock_baseline::LockLlSc;
 use crate::{
-    CachePadded, CasFamily, CasLlSc, EmuCas, EmuFamily, Error, FebCas, FebFamily, Keep, KwCas,
-    KwFamily, LlScVar, Native, NativeSeqCst, Result, RllLlSc, SimCas, SimFamily, TagLayout,
+    CasFamily, CasLlSc, CasMemory, EmuCas, EmuFamily, Error, FebCas, FebFamily, Keep, KwCas,
+    KwFamily, LlScVar, Native, Result, RllLlSc, SimCas, SimFamily, TagLayout, TagQueue,
 };
 
 /// Concurrent LL–SC sequences per process (`k`) used by the registry's
@@ -91,71 +93,6 @@ pub const PROVIDER_EMU_TAG_BITS: u32 = 16;
 /// for the differential fuzzer's tag churn not to wrap inside a window.
 pub const PROVIDER_WEAK_TAG_BITS: u32 = 16;
 
-// ---------------------------------------------------------------------------
-// Native-family ablation wrappers (moved here from exp_contention, which
-// used to keep them as a private provider list — exactly what the
-// registry exists to forbid).
-//
-// `CasLlSc`'s inherent operations are generic over any `CasMemory` of the
-// `Native` family, so the ordering axis is just a choice of context value
-// (`&Native` = acquire/release, `&NativeSeqCst` = fully ordered) and the
-// padding axis is a `CachePadded` box around the same variable. Each
-// combination gets an `LlScVar` impl so generic structures run unchanged.
-// ---------------------------------------------------------------------------
-
-macro_rules! native_ablation_impl {
-    ($name:ident, $ctx:ty, $ctx_val:expr) => {
-        impl LlScVar for $name {
-            type Keep = Option<Keep>;
-            type Ctx<'a> = $ctx;
-
-            fn ll(&self, _ctx: &mut $ctx, keep: &mut Option<Keep>) -> u64 {
-                let k = keep.get_or_insert_with(Keep::default);
-                CasLlSc::ll(&self.0, &$ctx_val, k)
-            }
-
-            fn vl(&self, _ctx: &mut $ctx, keep: &Option<Keep>) -> bool {
-                keep.as_ref()
-                    .is_some_and(|k| CasLlSc::vl(&self.0, &$ctx_val, k))
-            }
-
-            fn sc(&self, _ctx: &mut $ctx, keep: &mut Option<Keep>, new: u64) -> bool {
-                keep.take()
-                    .is_some_and(|k| CasLlSc::sc(&self.0, &$ctx_val, &k, new))
-            }
-
-            fn cl(&self, _ctx: &mut $ctx, keep: &mut Option<Keep>) {
-                *keep = None;
-            }
-
-            fn read(&self, _ctx: &mut $ctx) -> u64 {
-                CasLlSc::read(&self.0, &$ctx_val)
-            }
-
-            fn max_val(&self) -> u64 {
-                self.0.layout().max_val()
-            }
-        }
-    };
-}
-
-/// Figure 4 on native atomics, forced to `SeqCst`: the pre-PR-1 seed
-/// configuration, kept as the ordering ablation.
-#[derive(Debug)]
-pub struct SeqCstVar(CasLlSc<Native>);
-native_ablation_impl!(SeqCstVar, NativeSeqCst, NativeSeqCst);
-
-/// Figure 4 on native atomics, cache-line padded: the layout ablation.
-#[derive(Debug)]
-pub struct PaddedVar(CachePadded<CasLlSc<Native>>);
-native_ablation_impl!(PaddedVar, Native, Native);
-
-/// Figure 4 padded **and** forced to `SeqCst`: isolates the layout win
-/// from the ordering win.
-#[derive(Debug)]
-pub struct PaddedSeqCstVar(CachePadded<CasLlSc<Native>>);
-native_ablation_impl!(PaddedSeqCstVar, NativeSeqCst, NativeSeqCst);
-
 fn native_base(initial: u64) -> Result<CasLlSc<Native>> {
     CasLlSc::new_native(TagLayout::half(), initial)
 }
@@ -169,12 +106,6 @@ fn native_base(initial: u64) -> Result<CasLlSc<Native>> {
 pub enum ProviderId {
     /// Figure 4 over native CAS, acquire/release orderings, unpadded.
     Fig4Native,
-    /// Figure 4 over native CAS forced to `SeqCst` (ordering ablation).
-    Fig4NativeSeqCst,
-    /// Figure 4 over native CAS, cache-line padded (layout ablation).
-    Fig4NativePadded,
-    /// Figure 4 padded + `SeqCst` (both ablations together).
-    Fig4NativePaddedSeqCst,
     /// Figure 4 over a simulated CAS-only machine.
     Fig4Sim,
     /// Figure 4 over Figure 3's CAS-from-RLL/RSC emulation.
@@ -183,8 +114,6 @@ pub enum ProviderId {
     Fig5Rll,
     /// Figure 7: bounded tags, indexed (constant-time) tag queue.
     Fig7Bounded,
-    /// Figure 7 with the paper-literal O(Nk) scan queue (E9 ablation).
-    Fig7BoundedScan,
     /// The Blelloch–Wei constant-time, bounded-space construction.
     ConstantTime,
     /// Figure 2: the lock-based reference semantics.
@@ -208,16 +137,12 @@ pub enum ProviderId {
 
 impl ProviderId {
     /// Every registered construction, in registry order.
-    pub const ALL: [ProviderId; 17] = [
+    pub const ALL: [ProviderId; 13] = [
         ProviderId::Fig4Native,
-        ProviderId::Fig4NativeSeqCst,
-        ProviderId::Fig4NativePadded,
-        ProviderId::Fig4NativePaddedSeqCst,
         ProviderId::Fig4Sim,
         ProviderId::Fig4Emu,
         ProviderId::Fig5Rll,
         ProviderId::Fig7Bounded,
-        ProviderId::Fig7BoundedScan,
         ProviderId::ConstantTime,
         ProviderId::LockBaseline,
         ProviderId::KeepPerVar,
@@ -260,238 +185,78 @@ impl ProviderId {
                 name: "fig4-native",
                 capability: Capability::CAS,
                 tier: Tier::FixedN,
-                figure: "4",
-                family: "native CAS",
-                space_class: "O(1)/var",
-                tag_bits: "32",
-                padded: false,
-                ordering: "acqrel",
-                constant_time_sc: true,
-                native_ablation: true,
-            },
-            ProviderId::Fig4NativeSeqCst => ProviderMeta {
-                id: self,
-                name: "fig4-native-seqcst",
-                capability: Capability::CAS,
-                tier: Tier::FixedN,
-                figure: "4",
-                family: "native CAS",
-                space_class: "O(1)/var",
-                tag_bits: "32",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: true,
-            },
-            ProviderId::Fig4NativePadded => ProviderMeta {
-                id: self,
-                name: "fig4-native-padded",
-                capability: Capability::CAS,
-                tier: Tier::FixedN,
-                figure: "4",
-                family: "native CAS",
-                space_class: "O(1)/var",
-                tag_bits: "32",
-                padded: true,
-                ordering: "acqrel",
-                constant_time_sc: true,
-                native_ablation: true,
-            },
-            ProviderId::Fig4NativePaddedSeqCst => ProviderMeta {
-                id: self,
-                name: "fig4-native-padded-seqcst",
-                capability: Capability::CAS,
-                tier: Tier::FixedN,
-                figure: "4",
-                family: "native CAS",
-                space_class: "O(1)/var",
-                tag_bits: "32",
-                padded: true,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: true,
             },
             ProviderId::Fig4Sim => ProviderMeta {
                 id: self,
                 name: "fig4-sim",
                 capability: Capability::CAS,
                 tier: Tier::FixedN,
-                figure: "4",
-                family: "simulated CAS",
-                space_class: "O(1)/var",
-                tag_bits: "32",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: false,
             },
             ProviderId::Fig4Emu => ProviderMeta {
                 id: self,
                 name: "fig4-emu",
                 capability: Capability::RLL_RSC,
                 tier: Tier::FixedN,
-                figure: "4 over 3",
-                family: "RLL/RSC-emulated CAS",
-                space_class: "O(1)/var",
-                tag_bits: "16+16",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: false,
             },
             ProviderId::Fig5Rll => ProviderMeta {
                 id: self,
                 name: "fig5-rll",
                 capability: Capability::RLL_RSC,
                 tier: Tier::FixedN,
-                figure: "5",
-                family: "RLL/RSC",
-                space_class: "O(1)/var",
-                tag_bits: "32",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: false,
             },
             ProviderId::Fig7Bounded => ProviderMeta {
                 id: self,
                 name: "fig7-bounded",
                 capability: Capability::CAS,
                 tier: Tier::FixedN,
-                figure: "7",
-                family: "native CAS",
-                space_class: "Θ(N(k+T))",
-                tag_bits: "⌈log(2Nk+1)⌉",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: false,
-            },
-            ProviderId::Fig7BoundedScan => ProviderMeta {
-                id: self,
-                name: "fig7-bounded-scan",
-                capability: Capability::CAS,
-                tier: Tier::FixedN,
-                figure: "7 (literal)",
-                family: "native CAS",
-                space_class: "Θ(N(k+T))",
-                tag_bits: "⌈log(2Nk+1)⌉",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: false,
-                native_ablation: false,
             },
             ProviderId::ConstantTime => ProviderMeta {
                 id: self,
                 name: "constant",
                 capability: Capability::CAS,
                 tier: Tier::FixedN,
-                figure: "— (arXiv:1911.09671)",
-                family: "native CAS",
-                space_class: "Θ(N²k + T)",
-                tag_bits: "0",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: false,
             },
             ProviderId::LockBaseline => ProviderMeta {
                 id: self,
                 name: "lock",
                 capability: Capability::CAS,
                 tier: Tier::FixedN,
-                figure: "2",
-                family: "lock",
-                space_class: "Θ(N)/var",
-                tag_bits: "0",
-                padded: false,
-                ordering: "lock",
-                constant_time_sc: false,
-                native_ablation: false,
             },
             ProviderId::KeepPerVar => ProviderMeta {
                 id: self,
                 name: "keep-pervar",
                 capability: Capability::CAS,
                 tier: Tier::FixedN,
-                figure: "4 + per-var keeps",
-                family: "native CAS",
-                space_class: "Θ(N)/var",
-                tag_bits: "32",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: false,
             },
             ProviderId::KeepWithRegistry => ProviderMeta {
                 id: self,
                 name: "keep-registry",
                 capability: Capability::CAS,
                 tier: Tier::FixedN,
-                figure: "4 + keep registry",
-                family: "native CAS",
-                space_class: "Θ(N + T)",
-                tag_bits: "32",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: false,
-                native_ablation: false,
             },
             ProviderId::Dynamic => ProviderMeta {
                 id: self,
                 name: "dynamic",
                 capability: Capability::CAS,
                 tier: Tier::Dynamic,
-                figure: "— (arXiv:2302.00135)",
-                family: "native CAS",
-                space_class: "Θ(N)/var",
-                tag_bits: "0",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: false,
             },
             ProviderId::DynamicDurable => ProviderMeta {
                 id: self,
                 name: "dynamic-durable",
                 capability: Capability::CAS,
                 tier: Tier::Dynamic,
-                figure: "— (arXiv:2302.00135)",
-                family: "persistent memory (model)",
-                space_class: "Θ(N)/var",
-                tag_bits: "0",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: true,
-                native_ablation: false,
             },
             ProviderId::CasFromSwap => ProviderMeta {
                 id: self,
                 name: "cas-from-swap",
                 capability: Capability::SWAP | Capability::FETCH_ADD,
                 tier: Tier::WeakPrimitive,
-                figure: "— (arXiv:1802.03844)",
-                family: "swap+faa-emulated CAS",
-                space_class: "O(1)/var",
-                tag_bits: "16+16",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: false,
-                native_ablation: false,
             },
             ProviderId::FebLlSc => ProviderMeta {
                 id: self,
                 name: "feb-llsc",
                 capability: Capability::FEB,
                 tier: Tier::WeakPrimitive,
-                figure: "— (arXiv:0811.1304)",
-                family: "NB-FEB-emulated CAS",
-                space_class: "O(1)/var",
-                tag_bits: "16+16",
-                padded: false,
-                ordering: "seqcst",
-                constant_time_sc: false,
-                native_ablation: false,
             },
         }
     }
@@ -562,24 +327,6 @@ pub struct ProviderMeta {
     pub id: ProviderId,
     /// Stable CLI/JSON name.
     pub name: &'static str,
-    /// Which paper figure (or external construction) this implements.
-    pub figure: &'static str,
-    /// The primitive family underneath (native CAS, simulated, lock…).
-    pub family: &'static str,
-    /// Space-overhead class, in the paper's N/k/T variables.
-    pub space_class: &'static str,
-    /// Tag bits consumed inside the word (the value-width cost).
-    pub tag_bits: &'static str,
-    /// Whether the variable is cache-line padded.
-    pub padded: bool,
-    /// Memory-ordering regime of the hot path.
-    pub ordering: &'static str,
-    /// Whether a single `sc` is O(1) worst case (Fig7BoundedScan's O(Nk)
-    /// tag scan and the lock baseline's critical section are not).
-    pub constant_time_sc: bool,
-    /// Whether this entry exists for the exp_contention padding/ordering
-    /// ablation matrix (the four native Figure-4 corners).
-    pub native_ablation: bool,
     /// The instruction-set capabilities the construction requires of its
     /// memory (what a [`Machine`] must grant for `env` to make sense).
     /// Native entries require `CAS` — hardware grants the rest for free,
@@ -716,86 +463,91 @@ impl Provider for Fig4Native {
     }
 }
 
-/// Figure 4 over native CAS forced to `SeqCst` (ordering ablation).
+/// Figure 4 over native CAS at one corner of the ordering × layout
+/// ablation (`exp_contention`'s E7b sweep). `O` is the memory the hot path
+/// runs through: [`Native`] (acquire/release) or [`NativeSeqCst`](crate::NativeSeqCst) (every
+/// operation `SeqCst`). `L` is the variable's layout: `CasLlSc<Native>`
+/// (packed) or `CachePadded<CasLlSc<Native>>` (one line each).
+///
+/// Not a registry entry: padding and ordering are settings of the one
+/// Figure-4 construction, so its identity is [`ProviderId::Fig4Native`],
+/// and the registry's own acquire/release, packed corner is [`Fig4Native`].
 #[derive(Debug)]
-pub struct Fig4NativeSeqCst;
+pub struct Fig4NativeAblation<O, L>(PhantomData<fn() -> (O, L)>);
 
-impl Provider for Fig4NativeSeqCst {
-    const ID: ProviderId = ProviderId::Fig4NativeSeqCst;
-    type Var = SeqCstVar;
-    type Env = usize;
-    type ThreadCtx = NativeSeqCst;
+/// A [`Fig4NativeAblation`] variable: a Figure-4 word laid out as `L`,
+/// operated through the memory `O`.
+#[derive(Debug)]
+pub struct AblationVar<O, L> {
+    var: L,
+    _ordering: PhantomData<fn() -> O>,
+}
 
-    fn env(n: usize) -> Result<usize> {
-        Ok(n)
+impl<O, L> LlScVar for AblationVar<O, L>
+where
+    O: CasMemory<Family = Native> + Send + Sync + 'static,
+    L: Borrow<CasLlSc<Native>> + Send + Sync,
+{
+    type Keep = Option<Keep>;
+    type Ctx<'a>
+        = O
+    where
+        Self: 'a;
+
+    fn ll(&self, ctx: &mut O, keep: &mut Option<Keep>) -> u64 {
+        let k = keep.get_or_insert_with(Keep::default);
+        self.var.borrow().ll(ctx, k)
     }
 
-    fn var(_env: &usize, initial: u64) -> Result<SeqCstVar> {
-        Ok(SeqCstVar(native_base(initial)?))
+    fn vl(&self, ctx: &mut O, keep: &Option<Keep>) -> bool {
+        keep.as_ref().is_some_and(|k| self.var.borrow().vl(ctx, k))
     }
 
-    fn try_thread_ctx(env: &usize, p: usize) -> Result<NativeSeqCst> {
-        check_pid(*env, p)?;
-        Ok(NativeSeqCst)
+    fn sc(&self, ctx: &mut O, keep: &mut Option<Keep>, new: u64) -> bool {
+        keep.take()
+            .is_some_and(|k| self.var.borrow().sc(ctx, &k, new))
     }
 
-    fn ctx(tc: &mut NativeSeqCst) -> NativeSeqCst {
-        *tc
+    fn cl(&self, _ctx: &mut O, keep: &mut Option<Keep>) {
+        *keep = None;
+    }
+
+    fn read(&self, ctx: &mut O) -> u64 {
+        self.var.borrow().read(ctx)
+    }
+
+    fn max_val(&self) -> u64 {
+        self.var.borrow().layout().max_val()
     }
 }
 
-/// Figure 4 over native CAS, cache-line padded (layout ablation).
-#[derive(Debug)]
-pub struct Fig4NativePadded;
-
-impl Provider for Fig4NativePadded {
-    const ID: ProviderId = ProviderId::Fig4NativePadded;
-    type Var = PaddedVar;
+impl<O, L> Provider for Fig4NativeAblation<O, L>
+where
+    O: CasMemory<Family = Native> + Copy + Default + Send + Sync + 'static,
+    L: Borrow<CasLlSc<Native>> + From<CasLlSc<Native>> + Send + Sync + 'static,
+{
+    const ID: ProviderId = ProviderId::Fig4Native;
+    type Var = AblationVar<O, L>;
     type Env = usize;
-    type ThreadCtx = Native;
+    type ThreadCtx = O;
 
     fn env(n: usize) -> Result<usize> {
         Ok(n)
     }
 
-    fn var(_env: &usize, initial: u64) -> Result<PaddedVar> {
-        Ok(PaddedVar(CachePadded::new(native_base(initial)?)))
+    fn var(_env: &usize, initial: u64) -> Result<AblationVar<O, L>> {
+        Ok(AblationVar {
+            var: L::from(native_base(initial)?),
+            _ordering: PhantomData,
+        })
     }
 
-    fn try_thread_ctx(env: &usize, p: usize) -> Result<Native> {
+    fn try_thread_ctx(env: &usize, p: usize) -> Result<O> {
         check_pid(*env, p)?;
-        Ok(Native)
+        Ok(O::default())
     }
 
-    fn ctx(tc: &mut Native) -> Native {
-        *tc
-    }
-}
-
-/// Figure 4 padded + `SeqCst` (both ablations together).
-#[derive(Debug)]
-pub struct Fig4NativePaddedSeqCst;
-
-impl Provider for Fig4NativePaddedSeqCst {
-    const ID: ProviderId = ProviderId::Fig4NativePaddedSeqCst;
-    type Var = PaddedSeqCstVar;
-    type Env = usize;
-    type ThreadCtx = NativeSeqCst;
-
-    fn env(n: usize) -> Result<usize> {
-        Ok(n)
-    }
-
-    fn var(_env: &usize, initial: u64) -> Result<PaddedSeqCstVar> {
-        Ok(PaddedSeqCstVar(CachePadded::new(native_base(initial)?)))
-    }
-
-    fn try_thread_ctx(env: &usize, p: usize) -> Result<NativeSeqCst> {
-        check_pid(*env, p)?;
-        Ok(NativeSeqCst)
-    }
-
-    fn ctx(tc: &mut NativeSeqCst) -> NativeSeqCst {
+    fn ctx(tc: &mut O) -> O {
         *tc
     }
 }
@@ -893,49 +645,21 @@ impl Provider for Fig5Rll {
     }
 }
 
-/// Figure 7: bounded tags with the indexed (constant-time) tag queue.
+/// Figure 7: bounded tags. `Q` is the tag queue each process keeps
+/// (Figure 7's `Q`): the indexed, constant-time [`TagQueue`] by default,
+/// or the paper-literal O(Nk) [`ScanQueue`](crate::ScanQueue) for E9's ablation, which keeps
+/// this entry's identity.
 #[derive(Debug)]
-pub struct Fig7Bounded;
+pub struct Fig7Bounded<Q = TagQueue>(PhantomData<fn() -> Q>);
 
-impl Provider for Fig7Bounded {
+impl<Q: QueuePolicy> Provider for Fig7Bounded<Q> {
     const ID: ProviderId = ProviderId::Fig7Bounded;
     type Var = BoundedVar<Native>;
     type Env = Arc<BoundedDomain<Native>>;
     type ThreadCtx = Option<BoundedProc<Native>>;
 
     fn env(n: usize) -> Result<Arc<BoundedDomain<Native>>> {
-        BoundedDomain::new(n, PROVIDER_K)
-    }
-
-    fn var(env: &Arc<BoundedDomain<Native>>, initial: u64) -> Result<BoundedVar<Native>> {
-        env.var(initial)
-    }
-
-    fn try_thread_ctx(
-        env: &Arc<BoundedDomain<Native>>,
-        p: usize,
-    ) -> Result<Option<BoundedProc<Native>>> {
-        check_pid(env.n(), p)?;
-        Ok(Some(env.proc(p)))
-    }
-
-    fn ctx(tc: &mut Option<BoundedProc<Native>>) -> BoundedProc<Native> {
-        tc.take().expect("ctx() already taken from this thread_ctx")
-    }
-}
-
-/// Figure 7 with the paper-literal O(Nk) scan queue (E9 ablation).
-#[derive(Debug)]
-pub struct Fig7BoundedScan;
-
-impl Provider for Fig7BoundedScan {
-    const ID: ProviderId = ProviderId::Fig7BoundedScan;
-    type Var = BoundedVar<Native>;
-    type Env = Arc<BoundedDomain<Native>>;
-    type ThreadCtx = Option<BoundedProc<Native>>;
-
-    fn env(n: usize) -> Result<Arc<BoundedDomain<Native>>> {
-        BoundedDomain::new_with_policy(n, PROVIDER_K, TagPolicy::Scan)
+        BoundedDomain::new_with_policy(n, PROVIDER_K, Q::POLICY)
     }
 
     fn var(env: &Arc<BoundedDomain<Native>>, initial: u64) -> Result<BoundedVar<Native>> {
@@ -1233,17 +957,10 @@ impl Provider for FebLlSc {
 macro_rules! for_each_provider {
     ($body:ident) => {
         $body!(fig4_native, $crate::provider::Fig4Native);
-        $body!(fig4_native_seqcst, $crate::provider::Fig4NativeSeqCst);
-        $body!(fig4_native_padded, $crate::provider::Fig4NativePadded);
-        $body!(
-            fig4_native_padded_seqcst,
-            $crate::provider::Fig4NativePaddedSeqCst
-        );
         $body!(fig4_sim, $crate::provider::Fig4Sim);
         $body!(fig4_emu, $crate::provider::Fig4Emu);
         $body!(fig5_rll, $crate::provider::Fig5Rll);
         $body!(fig7_bounded, $crate::provider::Fig7Bounded);
-        $body!(fig7_bounded_scan, $crate::provider::Fig7BoundedScan);
         $body!(constant_time, $crate::provider::ConstantTime);
         $body!(lock_baseline, $crate::provider::LockBaseline);
         $body!(keep_pervar, $crate::provider::KeepPerVar);
@@ -1278,16 +995,10 @@ macro_rules! with_provider {
     ($id:expr, $body:ident) => {
         match $id {
             $crate::ProviderId::Fig4Native => $body!($crate::provider::Fig4Native),
-            $crate::ProviderId::Fig4NativeSeqCst => $body!($crate::provider::Fig4NativeSeqCst),
-            $crate::ProviderId::Fig4NativePadded => $body!($crate::provider::Fig4NativePadded),
-            $crate::ProviderId::Fig4NativePaddedSeqCst => {
-                $body!($crate::provider::Fig4NativePaddedSeqCst)
-            }
             $crate::ProviderId::Fig4Sim => $body!($crate::provider::Fig4Sim),
             $crate::ProviderId::Fig4Emu => $body!($crate::provider::Fig4Emu),
             $crate::ProviderId::Fig5Rll => $body!($crate::provider::Fig5Rll),
             $crate::ProviderId::Fig7Bounded => $body!($crate::provider::Fig7Bounded),
-            $crate::ProviderId::Fig7BoundedScan => $body!($crate::provider::Fig7BoundedScan),
             $crate::ProviderId::ConstantTime => $body!($crate::provider::ConstantTime),
             $crate::ProviderId::LockBaseline => $body!($crate::provider::LockBaseline),
             $crate::ProviderId::KeepPerVar => $body!($crate::provider::KeepPerVar),
@@ -1326,25 +1037,7 @@ mod tests {
         let err = ProviderId::parse("nope").unwrap_err();
         assert!(err.contains("fig4-native"));
         assert!(err.contains("constant"));
-        assert!(err.contains("fig7-bounded-scan"));
-    }
-
-    #[test]
-    fn exactly_four_native_ablation_corners() {
-        let corners: Vec<ProviderId> = ProviderId::ALL
-            .iter()
-            .copied()
-            .filter(|id| id.meta().native_ablation)
-            .collect();
-        assert_eq!(
-            corners,
-            [
-                ProviderId::Fig4Native,
-                ProviderId::Fig4NativeSeqCst,
-                ProviderId::Fig4NativePadded,
-                ProviderId::Fig4NativePaddedSeqCst,
-            ]
-        );
+        assert!(err.contains("feb-llsc"));
     }
 
     #[test]

@@ -151,8 +151,9 @@ impl TagQueue {
 /// costs a linear search of all `2Nk + 1` tags on **every** SC — the O(Nk)
 /// tag-reuse scan that the indexed [`TagQueue`] (the paper's own
 /// constant-time remark) eliminates. This implementation exists as the E9
-/// ablation baseline: registering it as the `fig7-bounded-scan` provider
-/// lets the experiment show the asymptotic gap instead of asserting it.
+/// ablation baseline: the `fig7-bounded` provider over this queue
+/// (`Fig7Bounded<ScanQueue>`) lets the experiment show the asymptotic gap
+/// instead of asserting it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScanQueue {
     q: std::collections::VecDeque<u32>,

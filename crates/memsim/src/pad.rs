@@ -10,6 +10,7 @@
 //! crossbeam's `CachePadded` — reimplemented here dependency-free so the
 //! workspace builds offline.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -60,6 +61,12 @@ impl<T> DerefMut for CachePadded<T> {
 impl<T> From<T> for CachePadded<T> {
     fn from(value: T) -> Self {
         CachePadded::new(value)
+    }
+}
+
+impl<T> Borrow<T> for CachePadded<T> {
+    fn borrow(&self) -> &T {
+        &self.value
     }
 }
 

@@ -3,7 +3,9 @@
 //! one generic body per property and stamped out over the whole registry
 //! by `for_each_provider!` — so a provider added to the registry is
 //! conformance-tested by construction, and one that breaks the contract
-//! fails here by name.
+//! fails here by name. The ablation corners of `fig4-native` and
+//! `fig7-bounded`, which are not registry entries, are stamped by
+//! `for_each_corner!` (`tests/corners`).
 //!
 //! Five properties per provider:
 //!
@@ -37,6 +39,9 @@
 //! the same assertions with telemetry compiled out.
 
 use nbsp_core::{for_each_provider, Error, LlScVar, Provider};
+
+#[macro_use]
+mod corners;
 
 /// LL/VL/SC sequencing contract, one provider.
 fn semantics<P: Provider>() {
@@ -302,7 +307,7 @@ fn keep_exhaustion_fig7_bounded() {
 #[test]
 #[should_panic(expected = "exceeded k")]
 fn keep_exhaustion_fig7_bounded_scan() {
-    keep_exhaustion::<nbsp_core::provider::Fig7BoundedScan>();
+    keep_exhaustion::<corners::Fig7Scan>();
 }
 
 #[test]
@@ -345,3 +350,4 @@ macro_rules! conformance {
 }
 
 for_each_provider!(conformance);
+for_each_corner!(conformance);

@@ -14,6 +14,9 @@ use nbsp::serve::{
     run_cell_as, AdmissionConfig, ArrivalProcess, CellConfig, Dispatch, Pool, Request, Workload,
 };
 
+#[macro_use]
+mod corners;
+
 /// Small enough that every cursor stays far below the Fig4Emu provider's
 /// 16-bit value range, big enough to force refills and (with the bursty
 /// process) steals.
@@ -94,6 +97,7 @@ macro_rules! fabric_test {
 }
 
 for_each_provider!(fabric_test);
+for_each_corner!(fabric_test);
 
 /// Forced starvation: one producer feeds ring 0 only, its owner pops,
 /// and three permanently-starved thieves hammer `steal_into` on it.

@@ -12,6 +12,9 @@ use nbsp::core::{for_each_provider, CasLlSc, LlScVar, Native, Provider, TagLayou
 use nbsp::memsim::rng::SplitMix64;
 use nbsp::structures::{ordmap_capacity, OrdMap, Queue, Set, Stack};
 
+#[macro_use]
+mod corners;
+
 fn nat() -> CasLlSc<Native> {
     CasLlSc::new_native(TagLayout::half(), 0).unwrap()
 }
@@ -193,3 +196,4 @@ macro_rules! ordmap_differential {
 }
 
 for_each_provider!(ordmap_differential);
+for_each_corner!(ordmap_differential);

@@ -13,6 +13,9 @@ use nbsp::linearize::{
 use nbsp::memsim::ProcId;
 use nbsp::structures::{ordmap_capacity, OrdMap, Queue, Set, Stack};
 
+#[macro_use]
+mod corners;
+
 const THREADS: usize = 3;
 const OPS_PER_THREAD: usize = 4;
 const SEEDS: u64 = 100;
@@ -271,3 +274,4 @@ macro_rules! ordmap_linearizability {
 }
 
 for_each_provider!(ordmap_linearizability);
+for_each_corner!(ordmap_linearizability);
