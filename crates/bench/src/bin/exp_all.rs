@@ -1,7 +1,7 @@
 //! Regenerates every experiment table in `EXPERIMENTS.md` (E1–E5, E7–E17;
 //! E6 is `examples/concurrent_sequences.rs` / `tests/figure1.rs`; the
-//! figure-level model-checking certificates and the `BENCH_modelcheck.json`
-//! artifact are the separate `exp_modelcheck` binary).
+//! `BENCH_modelcheck.json` artifact of E13 and its figure certificates is
+//! written by the separate `exp_modelcheck` binary).
 //!
 //! Run with `--quick` for a fast smoke pass. Failures are attributed per
 //! experiment module and the process exits nonzero if any module failed.

@@ -1,160 +1,31 @@
-//! Model checking, two layers deep.
+//! Model checking of the shipped code, in two sections run by one DPOR
+//! engine (`nbsp-check`):
 //!
-//! **Certificates** (first section): exhaustive interleaving checks of the
-//! paper's *pseudocode* — the explicit step machines for Figures 3, 5, 6
-//! and 7 in `nbsp-linearize` — including negative controls (disabled tags,
-//! undersized tag universes) showing which mechanisms are load-bearing.
+//! **Figure certificates** (first section): small programs run against
+//! the shipped Figure 3, 5, 6 and 7 types (`EmuCasWord`, `RllLlSc`,
+//! `WideVar`, `BoundedVar`), every interleaving enumerated and every
+//! distinct history checked against the figure's specification, with a
+//! negative control (Figure 5 with a 1-bit tag) that must be caught.
 //!
-//! **E13** (second section): DPOR model checking of the *shipped
-//! providers* via `nbsp-check` — every registry entry runs on real
-//! threads under a cooperative scheduler, every interleaving of its
+//! **Provider sweep** (second section): every registry provider runs on
+//! real threads under a cooperative scheduler, every interleaving of its
 //! shared accesses is enumerated, and every distinct history is checked
-//! against the Figure-2 specification. Writes `BENCH_modelcheck.json`
-//! (schema documented in `e13_modelcheck::to_json`) and hard-fails on any
-//! violation, any capped exploration, a pruning ratio below 2x, or a
-//! missed planted bug.
+//! against the Figure-2 specification.
 //!
-//! `--quick` restricts the E13 sweep to the base configuration per
-//! provider (CI uses this).
+//! Writes `BENCH_modelcheck.json` (schema documented in
+//! `e13_modelcheck::to_json`) and hard-fails on a certificate that misses
+//! its expected verdict, any provider violation, any capped exploration, a
+//! pruning ratio below 2x, or a missed planted bug.
+//!
+//! `--quick` restricts the provider sweep to the base configuration per
+//! provider (CI uses this); the certificates always run in full.
 use std::process::ExitCode;
 
 use nbsp_bench::experiments::e13_modelcheck;
 use nbsp_bench::runner::run_experiment;
-use nbsp_linearize::modelcheck::{check_figure3, check_figure5, CasOp, LlScOp};
-use nbsp_linearize::modelcheck_bounded::{check_figure7, BoundedOp};
-use nbsp_linearize::modelcheck_wide::{check_figure6, WideOp};
-
-fn certificates() {
-    println!("### Mechanical certificates (exhaustive interleaving checks)\n");
-
-    let r = check_figure3(
-        vec![
-            vec![CasOp { old: 0, new: 5 }],
-            vec![CasOp { old: 0, new: 7 }, CasOp { old: 7, new: 0 }],
-        ],
-        0,
-        1 << 16,
-        1,
-    );
-    println!(
-        "Figure 3, CAS(0→5) vs CAS(0→7);CAS(7→0), spurious budget 1: \
-         {} executions, linearizable: {}",
-        r.executions,
-        r.holds()
-    );
-
-    let r = check_figure3(
-        vec![
-            vec![CasOp { old: 0, new: 5 }],
-            vec![CasOp { old: 0, new: 7 }, CasOp { old: 7, new: 0 }],
-        ],
-        0,
-        1, // tags disabled
-        0,
-    );
-    println!(
-        "Figure 3, same program, tags DISABLED: {} executions, linearizable: {} \
-         (CAS safety is value-only; tags buy termination)",
-        r.executions,
-        r.holds()
-    );
-
-    let aba = vec![
-        vec![LlScOp::Ll, LlScOp::Sc(5)],
-        vec![LlScOp::Ll, LlScOp::Sc(7), LlScOp::Ll, LlScOp::Sc(0)],
-    ];
-    let r = check_figure5(aba.clone(), 0, 1 << 16, 1);
-    println!(
-        "Figure 5, LL;SC(5) vs (LL;SC(7);LL;SC(0)), spurious budget 1: \
-         {} executions, linearizable: {}",
-        r.executions,
-        r.holds()
-    );
-    let r = check_figure5(aba, 0, 2, 0);
-    println!(
-        "Figure 5, same program, 1-bit tag (wraps): linearizable: {} \
-         (violation found after {} executions — the tag is load-bearing)",
-        r.holds(),
-        r.executions
-    );
-
-    let r = check_figure6(
-        vec![
-            vec![WideOp::Wll, WideOp::Sc([7, 8])],
-            vec![WideOp::Wll, WideOp::Sc([9, 10])],
-        ],
-        [1, 2],
-    );
-    println!(
-        "Figure 6 (W=2), racing WLL;SC vs WLL;SC: {} executions, linearizable: {}",
-        r.executions,
-        r.holds()
-    );
-
-    let r = check_figure6(
-        vec![
-            vec![WideOp::Wll, WideOp::Sc([7, 8])],
-            vec![WideOp::Wll, WideOp::Wll],
-        ],
-        [1, 2],
-    );
-    println!(
-        "Figure 6 (W=2), WLL;SC vs WLL;WLL (helping): {} executions, linearizable: {}",
-        r.executions,
-        r.holds()
-    );
-
-    // Figure 7: park a sequence in slot 0, churn slot 1, fire the parked SC.
-    let park_and_churn = |churn: usize| {
-        let mut p0 = vec![BoundedOp::Ll(0)];
-        for round in 0..churn {
-            p0.push(BoundedOp::Ll(1));
-            p0.push(BoundedOp::Sc(1, if round % 2 == 0 { 7 } else { 0 }));
-        }
-        p0.push(BoundedOp::Sc(0, 5));
-        vec![p0, vec![]]
-    };
-    let mut total = 0;
-    let mut ok = true;
-    for churn in 1..=12 {
-        let r = check_figure7(park_and_churn(churn), 0, 9);
-        total += r.executions;
-        ok &= r.holds();
-    }
-    println!(
-        "Figure 7 (N=2, k=2, 2Nk+1 = 9 tags), park-and-churn 1..=12: \
-         {total} executions, linearizable: {ok}"
-    );
-    let caught = (1..=12).any(|c| !check_figure7(park_and_churn(c), 0, 2).holds());
-    println!(
-        "Figure 7, same programs, UNDERSIZED universe (2 tags): violation \
-         found: {caught} (the 2Nk+1 bound is load-bearing)"
-    );
-
-    let r = check_figure7(
-        vec![
-            vec![
-                BoundedOp::Ll(0),
-                BoundedOp::Ll(1),
-                BoundedOp::Sc(1, 3),
-                BoundedOp::Sc(0, 4),
-            ],
-            vec![BoundedOp::Ll(0), BoundedOp::Sc(0, 2)],
-        ],
-        0,
-        9,
-    );
-    println!(
-        "Figure 7, concurrent slots (Figure 1(a) shape) vs rival: {} executions, linearizable: {}",
-        r.executions,
-        r.holds()
-    );
-    println!();
-}
 
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
-    certificates();
     run_experiment("e13_modelcheck", move || {
         let r = e13_modelcheck::collect(quick);
         let json = e13_modelcheck::to_json(&r);

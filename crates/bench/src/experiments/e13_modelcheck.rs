@@ -1,17 +1,19 @@
-//! E13: DPOR model checking of the real registry providers. See
-//! `EXPERIMENTS.md`.
+//! E13: DPOR model checking of the shipped code. See `EXPERIMENTS.md`.
 //!
-//! Where the `exp_modelcheck` certificates check *re-implementations* of
-//! the paper's figures (explicit step machines in `nbsp-linearize`), this
-//! experiment schedule-controls the **shipped providers themselves**:
-//! every [`ProviderId`](nbsp_core::ProviderId) registry entry is run on
-//! real OS threads under `nbsp-check`'s cooperative scheduler, every
+//! Two sections, one engine. The **figure certificates**
+//! (`nbsp_check::certificates`) run small programs against the shipped
+//! Figure 3/5/6/7 types themselves, including negative controls. The
+//! **provider sweep** schedule-controls every
+//! [`ProviderId`](nbsp_core::ProviderId) registry entry: each runs on real
+//! OS threads under `nbsp-check`'s cooperative scheduler, every
 //! interleaving of its shared accesses is enumerated with dynamic
 //! partial-order reduction (spurious RSC failures included as explicit
 //! scheduler branches), and every distinct history is checked against the
 //! Figure-2 sequential specification.
 //!
-//! Four deterministic gates:
+//! Five deterministic gates:
+//! * every figure certificate reaches its expected verdict without
+//!   hitting the cap;
 //! * every provider × configuration completes exhaustively (no cap) with
 //!   no violation;
 //! * DPOR prunes at least [`MIN_PRUNING_RATIO`]× versus the naive full
@@ -34,6 +36,7 @@
 //! configuration's interleaving space is intractable rather than merely
 //! heavy. Their base-configuration DPOR verdict is (re-)gated in E16.
 
+use nbsp_check::certificates::{certificates, Certificate};
 use nbsp_check::planted::{aba_program, PlantedTagDrop};
 use nbsp_check::{
     check, check_conservation, check_lost_freeze, llx::overlap_program, Mode, Outcome, PlanOp,
@@ -202,9 +205,46 @@ pub struct LlxResult {
     pub deterministic: bool,
 }
 
+/// One figure certificate (`nbsp_check::certificates`): a DPOR run over
+/// a shipped Figure 3/5/6/7 type, with the verdict it must reach.
+#[derive(Clone, Debug)]
+pub struct CertificateResult {
+    /// Certificate name.
+    pub name: String,
+    /// True for a negative control (a violation must be found).
+    pub expect_violation: bool,
+    /// The exploration.
+    pub outcome: Outcome,
+}
+
+impl CertificateResult {
+    /// True iff the exploration reached the expected verdict without
+    /// hitting the cap (negatives stop at their violation, uncapped).
+    #[must_use]
+    pub fn holds(&self) -> bool {
+        !self.outcome.capped && self.outcome.violation.is_some() == self.expect_violation
+    }
+
+    /// Length of the counterexample schedule (0 without a violation).
+    #[must_use]
+    pub fn schedule_len(&self) -> usize {
+        self.outcome.violation.as_ref().map_or(0, |v| v.schedule.len())
+    }
+}
+
+fn verdict(violation: bool) -> &'static str {
+    if violation {
+        "violation"
+    } else {
+        "linearizable"
+    }
+}
+
 /// Everything E13 measures.
 #[derive(Clone, Debug)]
 pub struct E13Results {
+    /// The figure certificates, in [`certificates`] order.
+    pub certificates: Vec<CertificateResult>,
     /// Per-provider sweep.
     pub rows: Vec<ProviderRow>,
     /// Pruning-ratio gate data.
@@ -251,9 +291,19 @@ fn check_provider<P: Provider>(quick: bool) -> ProviderRow {
     ProviderRow { provider, results }
 }
 
-/// Runs the full sweep, the ratio measurement and the planted-bug check.
+/// Runs the figure certificates, the full sweep, the ratio measurement
+/// and the planted-bug check.
 #[must_use]
 pub fn collect(quick: bool) -> E13Results {
+    let certificates = certificates()
+        .into_iter()
+        .map(|c: Certificate| CertificateResult {
+            outcome: c.check(MAX_EXECUTIONS),
+            name: c.name,
+            expect_violation: c.expect_violation,
+        })
+        .collect();
+
     let mut rows: Vec<ProviderRow> = Vec::new();
     macro_rules! sweep {
         ($name:ident, $ty:ty) => {
@@ -310,6 +360,7 @@ pub fn collect(quick: bool) -> E13Results {
     };
 
     E13Results {
+        certificates,
         rows,
         ratio,
         planted,
@@ -322,6 +373,32 @@ pub fn collect(quick: bool) -> E13Results {
 #[must_use]
 pub fn render(r: &E13Results) -> Report {
     let mut report = Report::new();
+    report.heading("Figure certificates: DPOR over the shipped Figure 3/5/6/7 types");
+    report.para(
+        "Each program runs against the type the crates ship (EmuCasWord, RllLlSc, \
+         WideVar, BoundedVar), every interleaving enumerated (spurious RSC failures \
+         included), every distinct history checked against the figure's \
+         specification. Negative controls must be caught with a replayable schedule.",
+    );
+    let mut t = Table::new(["certificate", "executions", "expected", "found", "schedule"]);
+    for c in &r.certificates {
+        let found = if c.outcome.capped {
+            "capped"
+        } else {
+            verdict(c.outcome.violation.is_some())
+        };
+        t.row([
+            c.name.clone(),
+            c.outcome.executions.to_string(),
+            verdict(c.expect_violation).to_string(),
+            found.to_string(),
+            match c.schedule_len() {
+                0 => "-".to_string(),
+                n => n.to_string(),
+            },
+        ]);
+    }
+    report.table(&t);
     report.heading("E13: DPOR model checking of the real providers");
     report.para(&format!(
         "Every registry provider, exhaustively explored under the cooperative \
@@ -406,6 +483,21 @@ pub fn to_json(r: &E13Results) -> String {
     s.push_str("  \"schema_version\": 1,\n");
     s.push_str("  \"experiment\": \"modelcheck\",\n");
     s.push_str(&format!("  \"quick\": {},\n", r.quick));
+    s.push_str("  \"certificates\": [\n");
+    for (i, c) in r.certificates.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"name\": \"{}\", \"executions\": {}, \"capped\": {}, \
+             \"expected\": \"{}\", \"found\": \"{}\", \"schedule_len\": {}}}{}\n",
+            c.name,
+            c.outcome.executions,
+            c.outcome.capped,
+            verdict(c.expect_violation),
+            verdict(c.outcome.violation.is_some()),
+            c.schedule_len(),
+            if i + 1 == r.certificates.len() { "" } else { "," }
+        ));
+    }
+    s.push_str("  ],\n");
     s.push_str("  \"providers\": [\n");
     for (i, row) in r.rows.iter().enumerate() {
         s.push_str(&format!(
@@ -472,8 +564,19 @@ pub fn to_json(r: &E13Results) -> String {
     s
 }
 
-/// Enforces the three gates; panics (→ nonzero exit) on any failure.
+/// Enforces the gates; panics (→ nonzero exit) on any failure.
 pub fn enforce(r: &E13Results) {
+    for c in &r.certificates {
+        assert!(
+            c.holds(),
+            "certificate {} expected {} but found {} (capped: {}) — schedule: {:?}",
+            c.name,
+            verdict(c.expect_violation),
+            verdict(c.outcome.violation.is_some()),
+            c.outcome.capped,
+            c.outcome.violation.as_ref().map(|v| &v.schedule),
+        );
+    }
     for row in &r.rows {
         for cr in &row.results {
             if let Some(out) = &cr.outcome {
@@ -551,5 +654,7 @@ mod tests {
         assert!(json.contains("\"planted\""));
         assert!(json.contains("\"llx\""));
         assert!(json.contains("\"flawed_found\": true"));
+        assert!(json.contains("\"certificates\""));
+        assert!(r.certificates.iter().any(|c| c.expect_violation));
     }
 }

@@ -13,7 +13,7 @@
 //! | [`e10_disjoint`] | E10 | Figures 3/4/5 are disjoint-access parallel; 6/7 are not but contention stays moderate |
 //! | [`e11_telemetry`] | E11 | telemetry is free when disabled; Figure-6 snapshots never tear, racy ones do |
 //! | [`e12_serve`] | E12 | open-loop serving: latency percentiles vs intended arrivals; single-word token-bucket admission caps the tail |
-//! | [`e13_modelcheck`] | E13 | every registry provider is linearizable under exhaustive DPOR on small configurations; DPOR prunes ≥2x vs naive DFS; a planted tag-drop bug is caught |
+//! | [`e13_modelcheck`] | E13 | the shipped Figure 3/5/6/7 types reach every certificate verdict (a 1-bit-tag Figure 5 is caught); every registry provider is linearizable under exhaustive DPOR on small configurations; DPOR prunes ≥2x vs naive DFS; a planted tag-drop bug is caught |
 //! | [`e14_elastic`] | E14 | the elastic pool (dynamic joining) beats every fixed pool size on p99 under a flash crowd; the durable provider survives kill-at-schedule-point crashes |
 //! | [`e15_structures`] | E15 | the LLX/SCX ordered map serves keyed traffic deterministically through the fabric and beats the lock-baseline map at 4 threads; Zipf hot keys exercise real helping |
 //! | [`e16_hierarchy`] | E16 | the consensus-hierarchy portability matrix: every provider's capability/tier, conformance+differential+DPOR stamps for the weak-primitive tier, and the monotone cost of weakening the hardware |

@@ -32,7 +32,7 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use nbsp_core::provider::Provider;
-use nbsp_linearize::{is_linearizable, Completed, LlScSpec};
+use nbsp_linearize::{is_linearizable, Completed, LlScSpec, Op, Ret, SeqSpec};
 use nbsp_memsim::sched::{AccessKind, Decision};
 
 use crate::exec::{run_execution, ExecOutcome, Program, SleepEntry, StepRec};
@@ -364,6 +364,25 @@ where
     }
 }
 
+/// The judge every history-checking exploration uses: an execution whose
+/// history fingerprint was already judged is a [`Judgment::Duplicate`];
+/// any other is decided by the Wing–Gong checker against `spec`.
+pub(crate) fn linearizability_judge<S>(spec: S) -> impl FnMut(&ExecOutcome) -> Judgment
+where
+    S: SeqSpec<Op = Op, Ret = Ret>,
+{
+    let mut seen: HashSet<u64> = HashSet::new();
+    move |exec| {
+        if !seen.insert(history_fingerprint(&exec.history)) {
+            Judgment::Duplicate
+        } else if is_linearizable(spec.clone(), &exec.history) {
+            Judgment::Pass
+        } else {
+            Judgment::Fail(exec.history.clone())
+        }
+    }
+}
+
 /// Explores every schedule of `program` on provider `P` (up to
 /// `max_executions` completed-or-blocked runs), checking each distinct
 /// history for linearizability against the Figure-2 LL/SC specification.
@@ -379,24 +398,13 @@ pub fn check<P: Provider>(
     mode: Mode,
     max_executions: u64,
 ) -> Result<Outcome, nbsp_core::Error> {
-    let n = program.n();
-    let mut seen: HashSet<u64> = HashSet::new();
     explore(
-        n,
+        program.n(),
         program.spurious_budget,
         mode,
         max_executions,
         |prefix, frontier| run_execution::<P>(program, prefix, frontier),
-        |exec| {
-            let fp = history_fingerprint(&exec.history);
-            if !seen.insert(fp) {
-                Judgment::Duplicate
-            } else if is_linearizable(LlScSpec::new(n, program.initial), &exec.history) {
-                Judgment::Pass
-            } else {
-                Judgment::Fail(exec.history.clone())
-            }
-        },
+        linearizability_judge(LlScSpec::new(program.n(), program.initial)),
     )
 }
 

@@ -1,10 +1,8 @@
 //! # nbsp-check — model checking and invariant linting for the real code
 //!
-//! The `nbsp-linearize` crate model-checks *re-implementations* of the
-//! paper's pseudocode (Figures 3, 5, 6, 7 as explicit step machines). That
-//! leaves a gap: the shipped providers — the code benchmarks and structures
-//! actually run — were only ever tested on randomized schedules. This crate
-//! closes the gap from two directions:
+//! Randomized schedules sample the shipped code; this crate enumerates
+//! it. Everything it model-checks is the code benchmarks and structures
+//! actually run, from several directions:
 //!
 //! * [`exec`] + [`dpor`] — a CHESS/Loom-style **stateless model checker**
 //!   that runs the *real* [`Provider`](nbsp_core::Provider) registry entries
@@ -13,6 +11,10 @@
 //!   accesses with **dynamic partial-order reduction** and checking each
 //!   recorded history against the Figure-2 sequential specification with
 //!   the Wing–Gong checker.
+//! * [`certificates`] — the same engine over the shipped Figure 3, 5, 6
+//!   and 7 types (`EmuCasWord`, `RllLlSc`, `WideVar`, `BoundedVar`) on
+//!   small programs, standing in for the paper's deferred linearizability
+//!   proofs, with a 1-bit-tag Figure-5 negative control.
 //! * [`llx`] — the same scheduler driven through `nbsp-llx`'s
 //!   **multi-word** LLX/SCX commits: every info/field/state word of the
 //!   protocol is a provider variable, so one SCX's freeze–write–settle–
@@ -44,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod certificates;
 pub mod cfg;
 pub mod dpor;
 pub mod exec;

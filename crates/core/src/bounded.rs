@@ -952,4 +952,41 @@ mod tests {
         assert_eq!(pid, 2);
         assert_eq!(cnt, 1);
     }
+
+    /// Park-and-churn, sequentially on one process: park a sequence in
+    /// one slot, run `churn` LL;SC pairs through the other (values
+    /// alternating 7, 0 so the value field recurs), then fire the parked
+    /// SC. `universe` replaces the process's tag queue with one of that
+    /// many tags. Returns whether the parked SC succeeded.
+    fn parked_sc_succeeds(universe: Option<usize>, churn: usize) -> bool {
+        let d = setup(2, 2);
+        let v = d.var(0).unwrap();
+        let mut me = d.proc(0);
+        if let Some(u) = universe {
+            me.q = TagStore::new(TagPolicy::Indexed, u);
+        }
+        let mem = Native;
+        let (_, parked) = v.ll(&mem, &mut me);
+        for round in 0..churn {
+            let (_, keep) = v.ll(&mem, &mut me);
+            assert!(v.sc(&mem, &mut me, keep, if round % 2 == 0 { 7 } else { 0 }));
+        }
+        v.sc(&mem, &mut me, parked, 5)
+    }
+
+    #[test]
+    fn undersized_tag_universe_lets_a_parked_sc_falsely_succeed() {
+        // Theorem 5's 2Nk + 1 tags are load-bearing: with 2 tags the
+        // (tag, cnt, pid, val) word recurs during the churn and the
+        // parked SC succeeds although successful SCs intervened. The
+        // public constructor always sizes the universe correctly, so the
+        // undersized queue is planted here.
+        assert!(
+            (1..=12).any(|churn| parked_sc_succeeds(Some(2), churn)),
+            "a 2-tag universe never recreated the parked word"
+        );
+        for churn in 1..=20 {
+            assert!(!parked_sc_succeeds(None, churn), "churn {churn}");
+        }
+    }
 }

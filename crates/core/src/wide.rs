@@ -268,12 +268,22 @@ impl<F: CasFamily> WideVar<F> {
                 // Line 5: install it; a lost race means someone else did.
                 // Release on success so later readers of the segment (line
                 // 2 above, in another process) inherit the chain.
-                if mem.cas_acqrel(&self.data[i], y, z) && !owner {
-                    record(Event::HelpGiven);
+                if mem.cas_acqrel(&self.data[i], y, z) {
+                    if !owner {
+                        record(Event::HelpGiven);
+                    }
+                    // Line 6: the segment now holds `z`.
+                    y = z;
+                } else {
+                    // Line 6, after a lost race: re-read the segment
+                    // rather than assume it holds `z`. If the owner has
+                    // already finished this SC and started its next one,
+                    // `A[pid]` holds that next value, so `z` is a value
+                    // that was never committed; the segment holds what
+                    // the winner installed. Line 7 still catches a newer
+                    // header.
+                    y = mem.load_acquire(&self.data[i]);
                 }
-                // Line 6: either way the segment now holds `z`'s contents
-                // (unless the header moved on, which line 7 detects).
-                y = z;
             } else if owner && d.seg.tag(y) == tag {
                 // Our own line-20 copy found the segment already current:
                 // a reader completed (part of) our SC on our behalf.

@@ -20,6 +20,11 @@
 //! implementation (SC by value comparison without a tag, i.e. the ABA bug)
 //! is caught.
 //!
+//! This crate enumerates no schedules itself: exhaustive checking of the
+//! shipped constructions, including the figure certificates, is
+//! `nbsp-check`'s DPOR, which judges each history with this crate's
+//! specifications and checker.
+//!
 //! [Wing & Gong]: https://doi.org/10.1006/jpdc.1993.1015
 
 #![forbid(unsafe_code)]
@@ -27,9 +32,6 @@
 
 pub mod checker;
 pub mod history;
-pub mod modelcheck;
-pub mod modelcheck_bounded;
-pub mod modelcheck_wide;
 pub mod spec;
 pub mod structures_spec;
 
