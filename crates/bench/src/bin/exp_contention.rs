@@ -104,8 +104,8 @@ fn counter_tput<P: Provider>(
 ) -> f64 {
     let env = P::env(threads + 1).expect("provider env");
     let counter = Counter::new(P::var(&env, 0).expect("provider var"));
-    main.flush(sinks); // publish setup events before workers can share our slot
-    let tput = throughput_sessions(threads, per_thread, |tid| {
+    main.flush(sinks); // publish setup events
+    throughput_sessions(threads, per_thread, |tid| {
         let counter = &counter;
         let mut tc = P::thread_ctx(&env, tid);
         move |iters: u64| {
@@ -114,9 +114,7 @@ fn counter_tput<P: Provider>(
                 counter.increment(&mut ctx);
             });
         }
-    });
-    main.resync();
-    tput
+    })
 }
 
 /// Treiber-style push/pop pairs. The stack's head and free-list head live
@@ -138,7 +136,7 @@ fn stack_tput<P: Provider>(
         &mut setup,
     );
     main.flush(sinks);
-    let tput = throughput_sessions(threads, per_thread, |tid| {
+    throughput_sessions(threads, per_thread, |tid| {
         let stack = &stack;
         let mut tc = P::thread_ctx(&env, tid);
         let v = tid as u64;
@@ -149,9 +147,7 @@ fn stack_tput<P: Provider>(
                 let _ = stack.pop(&mut ctx);
             });
         }
-    });
-    main.resync();
-    tput
+    })
 }
 
 /// Michael–Scott-style enqueue/dequeue pairs over the Figure-4 link array;
@@ -171,7 +167,7 @@ fn queue_tput<P: Provider>(
         &mut setup,
     );
     main.flush(sinks);
-    let tput = throughput_sessions(threads, per_thread, |tid| {
+    throughput_sessions(threads, per_thread, |tid| {
         let queue = &queue;
         let mut tc = P::thread_ctx(&env, tid);
         let v = tid as u64;
@@ -182,9 +178,7 @@ fn queue_tput<P: Provider>(
                 let _ = queue.dequeue(&mut ctx);
             });
         }
-    });
-    main.resync();
-    tput
+    })
 }
 
 /// Fully overlapping two-cell transactions on the ownership-record STM.
@@ -195,7 +189,7 @@ fn queue_tput<P: Provider>(
 fn stm_tput(threads: usize, per_thread: u64, sinks: &Sinks, main: &mut FlushPair) -> f64 {
     let stm = OrecStm::new(&[0; 4]);
     main.flush(sinks);
-    let tput = throughput_sessions(threads, per_thread, |tid| {
+    throughput_sessions(threads, per_thread, |tid| {
         let stm = &stm;
         let p = ProcId::new(tid);
         move |iters: u64| {
@@ -206,9 +200,7 @@ fn stm_tput(threads: usize, per_thread: u64, sinks: &Sinks, main: &mut FlushPair
                 });
             });
         }
-    });
-    main.resync();
-    tput
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -448,8 +440,7 @@ fn main() -> ExitCode {
     let sinks = Sinks::new();
     // The main thread's own flusher pair: it records setup events
     // (structure construction does LL/SC work) and must publish them
-    // exactly once; `resync` after each worker window keeps wrapped
-    // worker slots from being double-published (see FlushPair::resync).
+    // exactly once.
     let mut main_flush = FlushPair::new();
 
     let corners: [Sweep; 4] = [

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use nbsp_core::{CasLlSc, Keep, Native, TagLayout, WideTotals};
 use nbsp_structures::Counter;
 use nbsp_telemetry::{
-    bucket_label, histogram, racy_totals, record_n, slot_counts, thread_slot, AtomicTotals, Event,
+    bucket_label, histogram, racy_totals, record_n, record_row, slot_counts, AtomicTotals, Event,
     Flusher, Hist, EVENT_COUNT, HIST_BUCKETS,
 };
 
@@ -226,7 +226,7 @@ pub fn snapshot_ablation(writers: usize, batches: u64, per_batch: u64) -> Ablati
             .map(|_| {
                 s.spawn(|| {
                     let mut flusher = Flusher::new();
-                    let row = || slot_counts(thread_slot());
+                    let row = || slot_counts(record_row());
                     let start = row();
                     for _ in 0..batches {
                         record_n(Event::TagAlloc, per_batch);

@@ -296,7 +296,6 @@ fn ordmap_tput<P: Provider>(
             deleted.fetch_add(del, Ordering::Relaxed);
         }
     });
-    main.resync();
     let final_len = m.len(&mut setup) as u64;
     let (inserted, deleted) = (inserted.load(Ordering::Relaxed), deleted.load(Ordering::Relaxed));
     assert_eq!(

@@ -17,7 +17,7 @@
 //! * **hierarchy ordering** — the E7-style throughput column over
 //!   native CAS / cas-from-swap / feb-llsc, gated on the documented
 //!   monotone cost of weakening the hardware (native ≥ swap+faa ≥ FEB,
-//!   within [`ORDER_SLACK`]).
+//!   within `ORDER_SLACK`).
 //!
 //! The JSON artifact (`BENCH_hierarchy.json`) never records raw
 //! throughput (that appears only in the markdown report). Its
@@ -94,7 +94,7 @@ pub struct WeakStamp {
 pub struct TputRow {
     /// Registry name.
     pub provider: &'static str,
-    /// (threads, ops/sec) cells, [`THREADS`] order.
+    /// (threads, ops/sec) cells, `THREADS` order.
     pub cells: Vec<(usize, f64)>,
     /// Sum of the cells — the ordering-gate metric.
     pub aggregate: f64,
@@ -107,7 +107,7 @@ pub struct E16Results {
     pub listing: Vec<Listing>,
     /// Per-weak-provider verdicts.
     pub stamps: Vec<WeakStamp>,
-    /// The ordering column, [`ORDERING`] order.
+    /// The ordering column, `ORDERING` order.
     pub tput: Vec<TputRow>,
     /// Whether this was a `--quick` run.
     pub quick: bool,
@@ -409,7 +409,7 @@ pub fn gates(r: &E16Results) -> Vec<(String, bool)> {
 }
 
 /// The wall-clock gate verdicts: the monotone hierarchy ordering (each
-/// rung at least [`ORDER_SLACK`] of the rung below it on aggregate
+/// rung at least `ORDER_SLACK` of the rung below it on aggregate
 /// throughput). Gated like the others, but a measurement, so two runs
 /// may disagree.
 #[must_use]

@@ -49,7 +49,7 @@ fn counter_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mu
     let env = P::env(n + 1).expect("provider env");
     let c = Counter::new(P::var(&env, 0).expect("provider var"));
     main.flush(sinks);
-    let tput = throughput_sessions(n, per_thread, |tid| {
+    throughput_sessions(n, per_thread, |tid| {
         let c = &c;
         let mut tc = P::thread_ctx(&env, tid);
         move |iters: u64| {
@@ -58,9 +58,7 @@ fn counter_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mu
                 c.increment(&mut ctx);
             });
         }
-    });
-    main.resync();
-    tput
+    })
 }
 
 /// Treiber-stack push+pop pairs.
@@ -76,7 +74,7 @@ fn stack_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut 
         &mut setup,
     );
     main.flush(sinks);
-    let tput = throughput_sessions(n, per_thread, |tid| {
+    throughput_sessions(n, per_thread, |tid| {
         let s = &s;
         let mut tc = P::thread_ctx(&env, tid);
         move |iters: u64| {
@@ -86,9 +84,7 @@ fn stack_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut 
                 let _ = s.pop(&mut ctx);
             });
         }
-    });
-    main.resync();
-    tput
+    })
 }
 
 /// Michael–Scott-queue enqueue+dequeue pairs.
@@ -98,7 +94,7 @@ fn queue_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut 
     let mut setup = P::ctx(&mut setup_tc);
     let q = Queue::new(64, || P::var(&env, 0).expect("provider var"), &mut setup);
     main.flush(sinks);
-    let tput = throughput_sessions(n, per_thread, |tid| {
+    throughput_sessions(n, per_thread, |tid| {
         let q = &q;
         let mut tc = P::thread_ctx(&env, tid);
         move |iters: u64| {
@@ -108,9 +104,7 @@ fn queue_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut 
                 let _ = q.dequeue(&mut ctx);
             });
         }
-    });
-    main.resync();
-    tput
+    })
 }
 
 /// Set add+remove pairs on per-thread key ranges. Arena sized for the
@@ -123,7 +117,7 @@ fn set_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut Fl
     let capacity = (per_thread as usize) * n + 64;
     let s = Set::new(capacity, || P::var(&env, 0).expect("provider var"), &mut setup);
     main.flush(sinks);
-    let tput = throughput_sessions(n, per_thread, |tid| {
+    throughput_sessions(n, per_thread, |tid| {
         let s = &s;
         let mut tc = P::thread_ctx(&env, tid);
         let key_base = tid as u64 * 1_000_000;
@@ -136,9 +130,7 @@ fn set_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut Fl
                 let _ = s.remove(&mut ctx, key_base + (i % 64));
             });
         }
-    });
-    main.resync();
-    tput
+    })
 }
 
 /// One provider's throughput cells, in the structure order the report
@@ -194,7 +186,6 @@ fn stm_rows(iters: u64, sinks: &Sinks, main: &mut FlushPair, t: &mut Table) {
                     });
                 }
             });
-            main.resync();
             fmt_ops(tput)
         })
         .collect();

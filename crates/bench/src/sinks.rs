@@ -68,17 +68,6 @@ impl FlushPair {
         self.events.flush(&sinks.events);
         self.hists.flush(&sinks.hists);
     }
-
-    /// Discard counts foreign threads left on this thread's (wrapped)
-    /// slot — see [`Flusher::resync`]. The main thread calls this after
-    /// every worker window: a sweep spawns thousands of short-lived
-    /// workers, so slots reuse and a worker can land on the main thread's
-    /// row. That worker flushes its own deltas; without the resync the
-    /// main thread's next flush would publish the same counts again.
-    pub fn resync(&mut self) {
-        self.events.resync();
-        self.hists.resync();
-    }
 }
 
 impl Default for FlushPair {

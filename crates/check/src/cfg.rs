@@ -13,7 +13,7 @@
 //! dataflow pass consumes: keep births (`ll`/`wll`/`llx`) and keep
 //! consumers (`sc`/`vl`/`cl`/`scx`/`vlx`/`unlink`), with the keep operand
 //! identified positionally from the known call signatures (see
-//! [`scan_call`] for the arity table). Known approximations, documented
+//! `emit_call` for the arity table). Known approximations, documented
 //! in `DESIGN.md` §16: closure bodies are inlined at their definition
 //! site (treated as executed exactly once), expression-position `match`
 //! inside call arguments is scanned linearly, and array indices are

@@ -1,7 +1,7 @@
 //! Depth-first schedule enumeration with dynamic partial-order reduction.
 //!
 //! The driver explores the tree of scheduling decisions over
-//! [`run_execution`](crate::exec::run_execution), one *complete* execution
+//! [`run_execution`], one *complete* execution
 //! per leaf, in the stateless style of Flanagan–Godefroid DPOR:
 //!
 //! * **Backtrack sets** — after every completed execution, a race analysis
@@ -51,7 +51,7 @@ pub enum Mode {
 #[derive(Clone, Debug)]
 pub struct Violation {
     /// The scheduling decisions, replayable via
-    /// [`run_execution`](crate::exec::run_execution).
+    /// [`run_execution`].
     pub schedule: Vec<(usize, Decision)>,
     /// The recorded non-linearizable history.
     pub history: Vec<Completed>,

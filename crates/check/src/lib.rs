@@ -26,7 +26,7 @@
 //!   telemetry stub/real parity, benchmark-schema versioning) so they are
 //!   CI-enforced instead of review-enforced.
 //!
-//! * [`flow`] (on [`lex`] + [`cfg`]) — a **static protocol-obligation
+//! * [`flow`] (on [`lex`] + [`mod@cfg`]) — a **static protocol-obligation
 //!   analyzer**: an intraprocedural keep-lifetime dataflow over a
 //!   dependency-free lexer and CFG builder that certifies, for every
 //!   function in the client crates, that (a) every keep born from

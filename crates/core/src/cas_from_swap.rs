@@ -277,7 +277,7 @@ impl<'a> KwCas<'a> {
     ///
     /// Panics if the machine's instruction set provides no swap or no
     /// fetch-and-add — checked here, once, so the per-op hot paths can
-    /// rely on it (satellite: a typed [`Error::UnsupportedOp`] is
+    /// rely on it (satellite: a typed [`Error::UnsupportedOp`](crate::Error::UnsupportedOp) is
     /// available through [`SyncMemory`] for callers probing capabilities).
     #[must_use]
     pub fn new(proc: &'a Processor) -> Self {

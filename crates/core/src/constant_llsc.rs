@@ -27,7 +27,7 @@
 //!   *retired* into the process's reclamation pipeline. The announce cell
 //!   is cleared only after the CAS, so the pin covers linearization.
 //! * Reclamation: each SC also advances a private scan of the announce
-//!   array by **one** cell and filters at most [`FILTER_PER_STEP`] retired
+//!   array by **one** cell and filters at most `FILTER_PER_STEP` retired
 //!   nodes. A node retired during revolution `R` is checked only after the
 //!   *complete* revolution `R + 1` has been scanned; any announcement that
 //!   could still pin it is therefore observed and the node is recirculated
@@ -466,7 +466,7 @@ impl<F: CasFamily> ConstantVar<F> {
     /// Finishes the sequence with a store-conditional of `new`: installs a
     /// fresh node via CAS, retiring the displaced one into the reclamation
     /// pipeline. O(1) worst case — including the amortized-by-construction
-    /// single [`ConstantProc::scan_step`] of reclamation.
+    /// single `ConstantProc::scan_step` of reclamation.
     ///
     /// # Panics
     ///

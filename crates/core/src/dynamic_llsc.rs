@@ -43,7 +43,7 @@
 //!
 //! ## Durability
 //!
-//! Instantiated over [`PWord`](nbsp_memsim::PWord) the same code is
+//! Instantiated over [`PWord`] the same code is
 //! durably linearizable, with three flush rules (the paper's CLWB/SFENCE
 //! placement):
 //!

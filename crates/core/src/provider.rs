@@ -7,7 +7,7 @@
 //! that: [`ProviderId`] enumerates the constructions, [`ProviderMeta`]
 //! carries their reporting metadata, the [`Provider`] trait packages
 //! "how to build the environment / a variable / a per-thread context",
-//! and the [`for_each_provider!`] / [`with_provider!`] macros let
+//! and the [`for_each_provider!`](crate::for_each_provider) / [`with_provider!`](crate::with_provider) macros let
 //! monomorphized generic code run per provider — either statically (one
 //! instantiation per entry) or dispatched from a runtime [`ProviderId`].
 //!

@@ -1,5 +1,5 @@
 //! The paper-dogfooded consistent-snapshot sink: an
-//! [`AtomicTotals`](nbsp_telemetry::AtomicTotals) implementation whose
+//! [`AtomicTotals`] implementation whose
 //! storage is a Figure-6 [`WideVar`].
 //!
 //! `nbsp-telemetry` sits at the bottom of the workspace layering so every

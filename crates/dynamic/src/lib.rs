@@ -12,7 +12,7 @@
 //!
 //! [`crash_run`] spawns `threads` workers over one [`DurableDynamicVar`]
 //! used as a counter. Every worker installs a shared
-//! [`CrashPlan`](nbsp_memsim::sched::CrashPlan), so the plan counts the
+//! [`CrashPlan`], so the plan counts the
 //! instrumented shared accesses of the whole execution and tears every
 //! thread down — a simulated power failure — once the `kill_after`-th
 //! access has run, wherever in whosever operation that lands. The harness

@@ -656,7 +656,7 @@ impl Processor {
     }
 
     /// NB-FEB load: reads the word, flag included. Read-only (commutes
-    /// with other loads), so it yields as an [`AccessKind::Read`].
+    /// with other loads), so it yields as an [`AccessKind::Read`](crate::sched::AccessKind::Read).
     ///
     /// # Panics
     ///

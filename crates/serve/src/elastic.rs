@@ -163,7 +163,6 @@ struct Shared<'a, P: Provider> {
     done: &'a AtomicBool,
     sink: &'a CellSink,
     sinks: Option<&'a ServeSinks>,
-    producer_slot: usize,
     seed: u64,
 }
 
@@ -258,12 +257,6 @@ where
         done: &done,
         sink,
         sinks,
-        // Telemetry slots wrap modulo the registry size, so across a long
-        // sweep a worker can land on the producer's slot. Two live
-        // flushers mirroring one row double-publish it; a worker that
-        // collides therefore skips telemetry flushing and lets the
-        // producer's mirror-diff publish that row's whole delta once.
-        producer_slot: nbsp_telemetry::thread_slot(),
         seed: cfg.seed,
     };
     std::thread::scope(|s| {
@@ -416,11 +409,7 @@ fn produce<P: Provider>(cfg: &CellConfig, shared: &Shared<'_, P>) -> PoolTrace {
 /// slot), serve an activation epoch, retire, repeat.
 fn worker<P: Provider, F: FnMut(u64)>(shared: &Shared<'_, P>, me: usize, mut op: F) {
     let mut cell = CellFlusher::new(me);
-    let shared_slot = nbsp_telemetry::thread_slot() == shared.producer_slot;
-    let mut tele = (!shared_slot)
-        .then_some(shared.sinks)
-        .flatten()
-        .map(|_| (Flusher::new(), HistFlusher::new()));
+    let mut tele = shared.sinks.map(|_| (Flusher::new(), HistFlusher::new()));
     let mut backoff = Backoff::new();
     // Victim rotation is seeded per worker: deterministic *sequence* of
     // starting points (me ⊕ cell seed), racy outcomes.

@@ -2,8 +2,8 @@
 //!
 //! The set is a closed enum rather than string keys on purpose: the hot
 //! paths index a flat counter matrix with `event as usize`, which keeps a
-//! `record` call at one thread-local read plus one relaxed `fetch_add` —
-//! no hashing, no interning, no allocation.
+//! `record` call at one thread-local read plus a relaxed load and store
+//! on the thread's own row — no hashing, no interning, no allocation.
 
 /// Number of distinct events ([`Event::ALL`]'s length, and the width `W`
 /// of the Figure-6 wide variable a consistent snapshot publisher uses).

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::registry::{thread_slot, MAX_SLOTS};
+use crate::registry::{bump, MAX_SLOTS};
 
 /// Number of buckets per histogram. Bucket 0 holds the value 0, bucket
 /// `b >= 1` holds values in `[2^(b-1), 2^b)`, and the last bucket also
@@ -57,7 +57,9 @@ impl HistRow {
     }
 }
 
-static HIST_MATRIX: [HistRow; MAX_SLOTS] = [const { HistRow::new() }; MAX_SLOTS];
+/// One row per leasable slot plus the overflow row, like the counter
+/// matrix.
+static HIST_MATRIX: [HistRow; MAX_SLOTS + 1] = [const { HistRow::new() }; MAX_SLOTS + 1];
 
 /// The log2 bucket a value falls into.
 #[must_use]
@@ -88,13 +90,13 @@ pub fn bucket_label(b: usize) -> String {
 #[inline]
 #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 pub(crate) fn observe_impl(hist: Hist, value: u64) {
-    HIST_MATRIX[thread_slot()].buckets[hist as usize][bucket_of(value)]
-        .fetch_add(1, Ordering::Relaxed);
+    bump(1, |row| &HIST_MATRIX[row].buckets[hist as usize][bucket_of(value)]);
 }
 
-/// The calling-thread-visible bucket counts of one slot's histogram rows
-/// (exact for the slot's own thread — rows are single-writer — and the
-/// baseline a [`crate::HistFlusher`] diffs against).
+/// The bucket counts of one row's histograms (`slot <= MAX_SLOTS`, see
+/// [`crate::record_row`]): exact for the row's own thread — leased rows
+/// are single-writer — and the baseline a [`crate::HistFlusher`] diffs
+/// against.
 #[must_use]
 pub fn slot_buckets(slot: usize) -> [[u64; HIST_BUCKETS]; HIST_COUNT] {
     let mut out = [[0u64; HIST_BUCKETS]; HIST_COUNT];

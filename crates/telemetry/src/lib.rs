@@ -7,8 +7,9 @@
 //! discipline the primitives themselves use — **per-process state, no
 //! shared hot path**:
 //!
-//! * [`record`]/[`record_n`] bump one relaxed `AtomicU64` in the calling
-//!   thread's own cache-padded row — wait-free, no CAS, no loop;
+//! * [`record`]/[`record_n`] bump one `AtomicU64` in the calling thread's
+//!   own cache-padded row with a relaxed load and store — the row has one
+//!   writer, so no locked instruction, no CAS, no loop;
 //! * [`observe`] does the same into log2-bucket histograms
 //!   ([`Hist::Retries`], [`Hist::BackoffDepth`]);
 //! * [`racy_totals`]/[`histogram`] are the cheap racy readers;
@@ -34,7 +35,7 @@ pub mod snapshot;
 pub use event::{Event, EVENT_COUNT};
 pub use hist::{bucket_label, bucket_of, histogram, Hist, HIST_BUCKETS, HIST_COUNT};
 pub use hist::slot_buckets;
-pub use registry::{racy_totals, slot_counts, thread_slot, MAX_SLOTS};
+pub use registry::{racy_totals, record_row, slot_counts, thread_slot, MAX_SLOTS};
 pub use snapshot::{AtomicHists, AtomicTotals, Flusher, HistFlusher, HistState};
 
 /// Whether telemetry recording is compiled in.
@@ -48,9 +49,10 @@ pub const fn enabled() -> bool {
 }
 
 /// Counts one occurrence of `event` for the calling thread. Wait-free:
-/// one thread-local read plus one relaxed `fetch_add` on the thread's
-/// own cache-padded row. With the `telemetry` feature off this is an
-/// empty inline stub.
+/// one thread-local read plus a relaxed load and store on the thread's
+/// own cache-padded row (a `fetch_add` on the shared overflow row past
+/// [`MAX_SLOTS`] live threads). With the `telemetry` feature off this is
+/// an empty inline stub.
 #[inline]
 pub fn record(event: Event) {
     #[cfg(feature = "telemetry")]

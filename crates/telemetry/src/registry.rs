@@ -3,30 +3,38 @@
 //!
 //! The paper's constructions give each process a private announce slot so
 //! that the hot path never contends; the counter matrix copies that shape.
-//! A `record` is a thread-local slot lookup plus one `fetch_add(1,
-//! Relaxed)` on the recording thread's own row — wait-free, no CAS, no
-//! loop, and (rows being 128-byte aligned) no false sharing between
-//! recording threads.
+//! A thread leases a row of its own for as long as it lives, and a
+//! `record` is a thread-local row lookup plus a relaxed load and store on
+//! that row — wait-free, no locked instruction, no loop, and (rows being
+//! 128-byte aligned) no false sharing between recording threads.
 //!
-//! Rows are *single-writer*: only the owning thread adds to its row, so a
-//! thread reading its own row sees exact values (the property
-//! [`crate::snapshot::Flusher`] relies on), while cross-row readers get
-//! the racy-but-monotonic view [`racy_totals`] documents.
+//! Rows are *single-writer*: only the leasing thread writes its row, which
+//! is what makes the plain load + store exact, lets a thread read its own
+//! row exactly (the property [`crate::snapshot::Flusher`] relies on), and
+//! keeps every counter monotonic for the racy cross-row readers
+//! [`racy_totals`] documents. Threads that find every row leased record
+//! into one shared overflow row with `fetch_add` instead.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::event::{Event, EVENT_COUNT};
 
-/// Number of per-process rows in the counter matrix. A thread claims a
-/// row no live thread holds and frees it when it exits, so up to this
-/// many concurrently live recording threads each write their own row.
-/// Threads beyond this share rows round-robin: totals stay exact (the
-/// adds are atomic), but shared rows can false-share and break the
-/// single-writer guarantee that [`crate::snapshot::Flusher`] needs — keep
-/// concurrent recording threads at or below this bound for consistent
-/// snapshots.
+/// Number of leasable rows in the counter matrix, and the number of
+/// Figure-6 process ids [`thread_slot`] hands out. A thread leases a row
+/// no live thread holds and frees it when it exits, so up to this many
+/// concurrently live recording threads each write their own row.
+/// A thread that starts recording while all of them are held records
+/// into the shared overflow row (index `MAX_SLOTS`, see [`record_row`])
+/// for the rest of its life: totals stay exact (that row's adds are
+/// atomic), but its [`crate::snapshot::Flusher`] diffs a row other
+/// threads write too — keep concurrent recording threads at or below
+/// this bound for consistent snapshots.
 pub const MAX_SLOTS: usize = 64;
+
+/// Index of the overflow row: never leased, written with `fetch_add` by
+/// every thread that found all [`MAX_SLOTS`] rows held.
+const OVERFLOW: usize = MAX_SLOTS;
 
 /// One process's event counters, padded to (a pair of) cache lines so
 /// neighbouring recorders never invalidate each other.
@@ -43,7 +51,8 @@ impl Row {
     }
 }
 
-static MATRIX: [Row; MAX_SLOTS] = [const { Row::new() }; MAX_SLOTS];
+/// The leasable rows followed by the overflow row.
+static MATRIX: [Row; MAX_SLOTS + 1] = [const { Row::new() }; MAX_SLOTS + 1];
 
 /// Cursor for slot claiming; wraps modulo [`MAX_SLOTS`]. A claim takes
 /// the first free row at or after it, which spreads successive threads
@@ -62,21 +71,28 @@ impl Drop for Lease {
     fn drop(&mut self) {
         let slot = self.0.get();
         if slot < MAX_SLOTS {
+            // Later TLS destructors may still record: send them to the
+            // overflow row first, so the row's next owner stays its only
+            // writer.
+            SLOT.set(OVERFLOW + slot);
             // Release: the row's counts happen-before its next owner's
-            // first (exact) read of it.
+            // first load of them, so its load + store builds on them.
             HELD.fetch_and(!(1u64 << slot), Ordering::Release);
         }
     }
 }
 
 thread_local! {
+    /// The calling thread's slot word: `s < MAX_SLOTS` is a leased row
+    /// `s` (and process id `s`), `OVERFLOW + p` records into the overflow
+    /// row as process id `p`, and `usize::MAX` is not yet claimed.
     static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
     static LEASE: Lease = const { Lease(Cell::new(usize::MAX)) };
 }
 
-/// Claims a row for the calling thread: the first one at or after the
-/// cursor that no live thread holds, or the cursor's row itself when all
-/// [`MAX_SLOTS`] are held.
+/// Claims a row for the calling thread and returns its slot word: the
+/// first row at or after the cursor that no live thread holds, or the
+/// overflow row when all [`MAX_SLOTS`] are held.
 fn claim() -> usize {
     let start = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % MAX_SLOTS;
     let mut held = HELD.load(Ordering::Relaxed);
@@ -86,48 +102,84 @@ fn claim() -> usize {
         let bit = 1u64 << slot;
         match HELD.compare_exchange_weak(held, held | bit, Ordering::Acquire, Ordering::Relaxed) {
             Ok(_) => {
-                if LEASE.try_with(|l| l.0.set(slot)).is_err() {
-                    // The thread is already exiting: nothing would free
-                    // the row, so leave it unheld (shared).
-                    HELD.fetch_and(!bit, Ordering::Relaxed);
+                if LEASE.try_with(|l| l.0.set(slot)).is_ok() {
+                    return slot;
                 }
-                return slot;
+                // The thread is already exiting: nothing would free the
+                // row, so leave it unheld and record into the overflow row.
+                HELD.fetch_and(!bit, Ordering::Relaxed);
+                return OVERFLOW + slot;
             }
             Err(now) => held = now,
         }
     }
-    start
+    OVERFLOW + start
 }
 
-/// The calling thread's row index in the counter matrix, claimed on first
-/// use. Also used as the process id a consistent-snapshot publisher hands
-/// to the Figure-6 SC.
+/// The calling thread's slot word, claimed on first use.
+fn slot_word() -> usize {
+    let s = SLOT.get();
+    if s != usize::MAX {
+        s
+    } else {
+        let claimed = claim();
+        SLOT.set(claimed);
+        claimed
+    }
+}
+
+/// The calling thread's process id, below [`MAX_SLOTS`] and claimed on
+/// first use: the index of its leased row, and the process id a
+/// consistent-snapshot publisher hands to the Figure-6 SC.
 #[must_use]
 pub fn thread_slot() -> usize {
-    SLOT.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let claimed = claim();
-            s.set(claimed);
-            claimed
-        }
-    })
+    slot_word() % MAX_SLOTS
 }
 
-/// The wait-free hot path behind [`crate::record`]: bump the calling
-/// thread's own slot. Relaxed is enough — counters carry no payload to
-/// publish, and every reader is specified as racy or goes through an
-/// [`crate::snapshot::AtomicTotals`] publication instead.
+/// The row of the counter matrix the calling thread records into: its
+/// [`thread_slot`] while it holds a lease, or `MAX_SLOTS` (the shared
+/// overflow row) if every row was held when it first recorded or its
+/// lease has been released at thread exit.
+#[must_use]
+#[inline]
+pub fn record_row() -> usize {
+    // One compare on the hot path: a leased row is its own slot word.
+    let s = SLOT.get();
+    if s < OVERFLOW {
+        s
+    } else {
+        slot_word().min(OVERFLOW)
+    }
+}
+
+/// Adds `n` to the counter `pick` selects in the calling thread's row.
+/// A leased row has one writer, so a relaxed load and store is exact
+/// there and keeps the counter monotonic for racy readers; only the
+/// shared overflow row needs the locked `fetch_add`. Relaxed is enough —
+/// counters carry no payload to publish, and every reader is specified
+/// as racy or goes through a [`crate::snapshot::AtomicTotals`]
+/// publication instead.
+#[inline]
+pub(crate) fn bump(n: u64, pick: impl FnOnce(usize) -> &'static AtomicU64) {
+    let row = record_row();
+    let c = pick(row);
+    if row < OVERFLOW {
+        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    } else {
+        c.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// The wait-free hot path behind [`crate::record`].
 #[inline]
 #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 pub(crate) fn add(event: Event, n: u64) {
-    MATRIX[thread_slot()].counts[event.index()].fetch_add(n, Ordering::Relaxed);
+    bump(n, |row| &MATRIX[row].counts[event.index()]);
 }
 
-/// Exact snapshot of one row. Exact only for the row owner (single
-/// writer); for other rows it is a racy read like [`racy_totals`].
+/// Snapshot of one row (`slot <= MAX_SLOTS`; see [`record_row`]). Exact
+/// for the row's owner (single writer); for other rows, and for the
+/// overflow row, it is a racy read like [`racy_totals`].
 #[must_use]
 pub fn slot_counts(slot: usize) -> [u64; EVENT_COUNT] {
     let mut out = [0u64; EVENT_COUNT];

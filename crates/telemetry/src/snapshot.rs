@@ -9,7 +9,7 @@
 //! single-word CAS. The subsystem dogfoods Figure 6:
 //!
 //! * each recording thread keeps incrementing its own row with relaxed
-//!   adds (the hot path is untouched);
+//!   loads and stores (the hot path is untouched);
 //! * at *consistency points* of its own choosing (batch boundaries,
 //!   operation completion) it calls [`Flusher::flush`], which publishes
 //!   the delta of its own row since the previous flush into an
@@ -27,7 +27,7 @@ use std::marker::PhantomData;
 
 use crate::event::EVENT_COUNT;
 use crate::hist::{slot_buckets, HIST_BUCKETS, HIST_COUNT};
-use crate::registry::{slot_counts, thread_slot};
+use crate::registry::{record_row, slot_counts, thread_slot};
 
 /// An atomically updatable, atomically readable vector of per-event
 /// totals — the abstraction a consistent snapshot reader needs.
@@ -43,9 +43,9 @@ pub trait AtomicTotals {
     fn totals(&self) -> [u64; EVENT_COUNT];
 }
 
-/// Per-thread flush state: remembers how much of the thread's own row has
-/// already been published so the next [`Flusher::flush`] publishes only
-/// the new delta.
+/// Per-thread flush state: remembers how much of the row the thread
+/// records into ([`crate::record_row`]) has already been published so
+/// the next [`Flusher::flush`] publishes only the new delta.
 ///
 /// Create it on the recording thread (`new` captures the row's current
 /// state, so pre-existing counts are not re-published) and call `flush`
@@ -65,7 +65,7 @@ impl Flusher {
     #[must_use]
     pub fn new() -> Self {
         Flusher {
-            mirror: slot_counts(thread_slot()),
+            mirror: slot_counts(record_row()),
             _not_send: PhantomData,
         }
     }
@@ -77,8 +77,7 @@ impl Flusher {
     /// Call at cross-event consistency points: totals read back from the
     /// sink satisfy exactly the invariants that hold at every flush.
     pub fn flush<T: AtomicTotals>(&mut self, sink: &T) -> bool {
-        let slot = thread_slot();
-        let now = slot_counts(slot);
+        let now = slot_counts(record_row());
         let mut delta = [0u64; EVENT_COUNT];
         let mut any = false;
         for i in 0..EVENT_COUNT {
@@ -86,23 +85,10 @@ impl Flusher {
             any |= delta[i] != 0;
         }
         if any {
-            sink.add(slot, &delta);
+            sink.add(thread_slot(), &delta);
             self.mirror = now;
         }
         any
-    }
-
-    /// Re-captures the thread's row as the published baseline *without*
-    /// publishing the difference.
-    ///
-    /// With more than [`crate::MAX_SLOTS`] live recording threads, rows
-    /// are shared, so other threads can land on this thread's slot and
-    /// bump its row from outside. If those workers flushed their own deltas,
-    /// a later `flush` here would publish the same counts a second time.
-    /// Call `resync` after such a window (e.g. after joining a spawn
-    /// scope) to discard the foreign counts from this flusher's view.
-    pub fn resync(&mut self) {
-        self.mirror = slot_counts(thread_slot());
     }
 }
 
@@ -152,7 +138,7 @@ impl HistFlusher {
     #[must_use]
     pub fn new() -> Self {
         HistFlusher {
-            mirror: slot_buckets(thread_slot()),
+            mirror: slot_buckets(record_row()),
             _not_send: PhantomData,
         }
     }
@@ -161,7 +147,7 @@ impl HistFlusher {
     /// last flush into `sink` as one atomic update. Returns `true` if
     /// there was anything to publish.
     pub fn flush<T: AtomicHists>(&mut self, sink: &T) -> bool {
-        let now = slot_buckets(thread_slot());
+        let now = slot_buckets(record_row());
         let mut delta = [[0u64; HIST_BUCKETS]; HIST_COUNT];
         let mut any = false;
         for h in 0..HIST_COUNT {
@@ -175,13 +161,6 @@ impl HistFlusher {
             self.mirror = now;
         }
         any
-    }
-
-    /// Re-captures the thread's histogram rows as the published baseline
-    /// without publishing the difference — [`Flusher::resync`] for the
-    /// histogram matrix, with the same slot-wrap rationale.
-    pub fn resync(&mut self) {
-        self.mirror = slot_buckets(thread_slot());
     }
 }
 

@@ -116,9 +116,10 @@ fn admission_on_beats_admission_off_at_overload() {
 #[test]
 fn telemetry_sinks_see_every_admission_decision_exactly_once() {
     // With the feature on, serve_admit + serve_shed flushed into the
-    // run-level sinks must equal the generated count exactly (the
-    // slot-collision guard in run_cell is what makes this exact); with
-    // the feature off the sink stays all-zero.
+    // run-level sinks must equal the generated count exactly (every
+    // recording thread leases a telemetry row of its own, so each row is
+    // published by one flusher); with the feature off the sink stays
+    // all-zero.
     let sinks = ServeSinks::new().unwrap();
     let c = cfg(2.4e6, Workload::Counter, overload_admission());
     let r = run_cell(&c, Some(&sinks));
