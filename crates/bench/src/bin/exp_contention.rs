@@ -31,9 +31,9 @@
 //! No criterion, no external deps: plain `std::thread` workers through
 //! `measure::throughput_sessions`. Every telemetry number this binary
 //! reports flows through the Figure-6 path (`nbsp_bench::sinks`): each
-//! worker session owns a flusher pair and publishes its per-thread deltas
+//! worker session owns a flusher and publishes its per-thread deltas
 //! into a run-level WLL sink, and the JSON telemetry block and per-cell
-//! event tables read those sinks with a single WLL each — never
+//! event tables read that sink with a single WLL each — never
 //! `racy_totals`, whose cross-event tearing E11 demonstrates. Results go to
 //! stdout as a markdown table and to `BENCH_contention.json` so future PRs
 //! have a perf trajectory to regress against. The run exits nonzero if,
@@ -46,13 +46,13 @@ use std::process::ExitCode;
 
 use nbsp_bench::measure::throughput_sessions;
 use nbsp_bench::report::{event_table, fmt_ops, Report, Table};
-use nbsp_bench::sinks::{session_loop, FlushPair, Sinks};
+use nbsp_bench::sinks::{session_loop, telemetry_json};
 use nbsp_core::provider::{Fig4Native, Fig4NativeAblation};
-use nbsp_core::{backoff, CachePadded, CasLlSc, Native, NativeSeqCst, Provider};
+use nbsp_core::{backoff, CachePadded, CasLlSc, Native, NativeSeqCst, Provider, WideTotals};
 use nbsp_memsim::ProcId;
 use nbsp_structures::stm_orec::OrecStm;
 use nbsp_structures::{Counter, Queue, Stack};
-use nbsp_telemetry::{AtomicHists, AtomicTotals, Event, Hist, EVENT_COUNT};
+use nbsp_telemetry::{AtomicTotals, Flusher, EVENT_COUNT, ROW_WORDS};
 
 // ---------------------------------------------------------------------------
 // The padding × ordering corners.
@@ -99,18 +99,18 @@ impl Corner for Fig4NativeAblation<NativeSeqCst, Padded> {
 fn counter_tput<P: Provider>(
     threads: usize,
     per_thread: u64,
-    sinks: &Sinks,
-    main: &mut FlushPair,
+    sink: &WideTotals,
+    main: &mut Flusher,
 ) -> f64 {
     let env = P::env(threads + 1).expect("provider env");
     let counter = Counter::new(P::var(&env, 0).expect("provider var"));
-    main.flush(sinks); // publish setup events
+    main.flush(sink); // publish setup events
     throughput_sessions(threads, per_thread, |tid| {
         let counter = &counter;
         let mut tc = P::thread_ctx(&env, tid);
         move |iters: u64| {
             let mut ctx = P::ctx(&mut tc);
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 counter.increment(&mut ctx);
             });
         }
@@ -122,8 +122,8 @@ fn counter_tput<P: Provider>(
 fn stack_tput<P: Provider>(
     threads: usize,
     per_thread: u64,
-    sinks: &Sinks,
-    main: &mut FlushPair,
+    sink: &WideTotals,
+    main: &mut Flusher,
 ) -> f64 {
     let env = P::env(threads + 1).expect("provider env");
     // Setup does LL/SC work too: it gets the env's extra context slot.
@@ -135,14 +135,14 @@ fn stack_tput<P: Provider>(
         P::var(&env, 0).expect("provider var"),
         &mut setup,
     );
-    main.flush(sinks);
+    main.flush(sink);
     throughput_sessions(threads, per_thread, |tid| {
         let stack = &stack;
         let mut tc = P::thread_ctx(&env, tid);
         let v = tid as u64;
         move |iters: u64| {
             let mut ctx = P::ctx(&mut tc);
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 let _ = stack.push(&mut ctx, v);
                 let _ = stack.pop(&mut ctx);
             });
@@ -155,8 +155,8 @@ fn stack_tput<P: Provider>(
 fn queue_tput<P: Provider>(
     threads: usize,
     per_thread: u64,
-    sinks: &Sinks,
-    main: &mut FlushPair,
+    sink: &WideTotals,
+    main: &mut Flusher,
 ) -> f64 {
     let env = P::env(threads + 1).expect("provider env");
     let mut setup_tc = P::thread_ctx(&env, threads);
@@ -166,14 +166,14 @@ fn queue_tput<P: Provider>(
         || P::var(&env, 0).expect("provider var"),
         &mut setup,
     );
-    main.flush(sinks);
+    main.flush(sink);
     throughput_sessions(threads, per_thread, |tid| {
         let queue = &queue;
         let mut tc = P::thread_ctx(&env, tid);
         let v = tid as u64;
         move |iters: u64| {
             let mut ctx = P::ctx(&mut tc);
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 let _ = queue.enqueue(&mut ctx, v);
                 let _ = queue.dequeue(&mut ctx);
             });
@@ -186,14 +186,14 @@ fn queue_tput<P: Provider>(
 /// threads than cores, a disabled backoff burns whole scheduler quanta
 /// spinning on an orec whose owner is descheduled. (Not provider-backed:
 /// its orecs are raw atomics, not swappable LL/SC variables.)
-fn stm_tput(threads: usize, per_thread: u64, sinks: &Sinks, main: &mut FlushPair) -> f64 {
+fn stm_tput(threads: usize, per_thread: u64, sink: &WideTotals, main: &mut Flusher) -> f64 {
     let stm = OrecStm::new(&[0; 4]);
-    main.flush(sinks);
+    main.flush(sink);
     throughput_sessions(threads, per_thread, |tid| {
         let stm = &stm;
         let p = ProcId::new(tid);
         move |iters: u64| {
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 stm.transact(p, &[0, 1], |vals| {
                     vals[0] += 1;
                     vals[1] += 1;
@@ -224,7 +224,7 @@ fn median_tput(runs: usize, mut f: impl FnMut() -> f64) -> f64 {
     samples[samples.len() / 2]
 }
 
-type Workload = fn(usize, u64, &Sinks, &mut FlushPair) -> f64;
+type Workload = fn(usize, u64, &WideTotals, &mut Flusher) -> f64;
 
 /// Per-cell telemetry deltas, printed in `--quick` mode so a smoke run
 /// shows *why* a cell is slow (SC failure rate, help traffic, backoff
@@ -232,29 +232,26 @@ type Workload = fn(usize, u64, &Sinks, &mut FlushPair) -> f64;
 /// stderr compact and rely on the run-level JSON block instead. Both
 /// endpoints of the delta are single-WLL snapshots of the run's
 /// `WideTotals` sink, so the printed deltas cannot tear across events.
-fn print_cell_events(quick: bool, before: &[u64; EVENT_COUNT], sinks: &Sinks, total_ops: u64) {
+fn print_cell_events(quick: bool, before: &[u64; ROW_WORDS], sink: &WideTotals, total_ops: u64) {
     if !quick || !nbsp_telemetry::enabled() {
         return;
     }
-    let after = sinks.events.totals();
-    let mut delta = [0u64; EVENT_COUNT];
-    for i in 0..EVENT_COUNT {
-        delta[i] = after[i] - before[i];
-    }
+    let after = sink.totals();
+    let delta: [u64; EVENT_COUNT] = std::array::from_fn(|i| after[i] - before[i]);
     for line in event_table(&delta, Some(total_ops)).to_markdown().lines() {
         eprintln!("[exp_contention]     {line}");
     }
 }
 
-type Sweep = fn(&[usize], u64, usize, bool, &Sinks, &mut FlushPair, &mut Vec<Row>);
+type Sweep = fn(&[usize], u64, usize, bool, &WideTotals, &mut Flusher, &mut Vec<Row>);
 
 fn sweep_corner<P: Corner>(
     threads_list: &[usize],
     per_thread: u64,
     runs: usize,
     quick: bool,
-    sinks: &Sinks,
-    main: &mut FlushPair,
+    sink: &WideTotals,
+    main: &mut Flusher,
     rows: &mut Vec<Row>,
 ) {
     let workloads: [(&'static str, Workload); 3] = [
@@ -266,15 +263,15 @@ fn sweep_corner<P: Corner>(
         backoff::set_enabled(use_backoff);
         for &(structure, work) in &workloads {
             for &threads in threads_list {
-                let before = sinks.events.totals();
-                let ops = median_tput(runs, || work(threads, per_thread, sinks, main));
+                let before = sink.totals();
+                let ops = median_tput(runs, || work(threads, per_thread, sink, main));
                 eprintln!(
                     "[exp_contention] {structure} t={threads} padded={} ordering={} backoff={use_backoff}: {}",
                     P::PADDED,
                     P::ORDERING,
                     fmt_ops(ops),
                 );
-                print_cell_events(quick, &before, sinks, runs as u64 * threads as u64 * per_thread);
+                print_cell_events(quick, &before, sink, runs as u64 * threads as u64 * per_thread);
                 rows.push(Row {
                     structure,
                     threads,
@@ -296,20 +293,20 @@ fn sweep_stm(
     per_thread: u64,
     runs: usize,
     quick: bool,
-    sinks: &Sinks,
-    main: &mut FlushPair,
+    sink: &WideTotals,
+    main: &mut Flusher,
     rows: &mut Vec<Row>,
 ) {
     for &use_backoff in &[false, true] {
         backoff::set_enabled(use_backoff);
         for &threads in threads_list {
-            let before = sinks.events.totals();
-            let ops = median_tput(runs, || stm_tput(threads, per_thread, sinks, main));
+            let before = sink.totals();
+            let ops = median_tput(runs, || stm_tput(threads, per_thread, sink, main));
             eprintln!(
                 "[exp_contention] stm_orec t={threads} backoff={use_backoff}: {}",
                 fmt_ops(ops),
             );
-            print_cell_events(quick, &before, sinks, runs as u64 * threads as u64 * per_thread);
+            print_cell_events(quick, &before, sink, runs as u64 * threads as u64 * per_thread);
             rows.push(Row {
                 structure: "stm_orec",
                 threads,
@@ -323,45 +320,7 @@ fn sweep_stm(
     backoff::set_enabled(true);
 }
 
-/// End-of-run telemetry block for the JSON artifact: per-event totals and
-/// the two log2 histograms, each read from its Figure-6 sink with a
-/// single WLL — the whole block is built from two atomic snapshots, never
-/// from racy cross-row sums. When the `telemetry` feature is compiled out
-/// the block records only `"enabled": false`, so schema consumers can
-/// distinguish "no events" from "not instrumented".
-fn telemetry_json(indent: &str, sinks: &Sinks) -> String {
-    if !nbsp_telemetry::enabled() {
-        return format!("{indent}\"telemetry\": {{\"enabled\": false}}");
-    }
-    let totals = sinks.events.totals();
-    let events = Event::ALL
-        .iter()
-        .map(|e| format!("\"{}\": {}", e.name(), totals[e.index()]))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let hist_totals = sinks.hists.totals();
-    let hists = Hist::ALL
-        .iter()
-        .map(|h| {
-            let buckets = hist_totals[*h as usize]
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{indent}    \"{}\": [{buckets}]", h.name())
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{indent}\"telemetry\": {{\n\
-         {indent}  \"enabled\": true,\n\
-         {indent}  \"events\": {{{events}}},\n\
-         {indent}  \"histograms\": {{\n{hists}\n{indent}  }}\n\
-         {indent}}}"
-    )
-}
-
-fn to_json(rows: &[Row], threads_list: &[usize], per_thread: u64, runs: usize, sinks: &Sinks) -> String {
+fn to_json(rows: &[Row], threads_list: &[usize], per_thread: u64, runs: usize, sink: &WideTotals) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema_version\": 2,\n");
@@ -390,7 +349,7 @@ fn to_json(rows: &[Row], threads_list: &[usize], per_thread: u64, runs: usize, s
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&telemetry_json("  ", sinks));
+    s.push_str(&telemetry_json("  ", sink));
     s.push_str("\n}\n");
     s
 }
@@ -437,11 +396,11 @@ fn main() -> ExitCode {
     let (per_thread, stm_per_thread, runs): (u64, u64, usize) =
         if quick { (5_000, 2_000, 2) } else { (300_000, 100_000, 5) };
 
-    let sinks = Sinks::new();
-    // The main thread's own flusher pair: it records setup events
+    let sink = WideTotals::with_all_slots().expect("telemetry sink");
+    // The main thread's own flusher: it records setup events
     // (structure construction does LL/SC work) and must publish them
     // exactly once.
-    let mut main_flush = FlushPair::new();
+    let mut main_flush = Flusher::new();
 
     let corners: [Sweep; 4] = [
         sweep_corner::<Fig4Native>,
@@ -451,9 +410,9 @@ fn main() -> ExitCode {
     ];
     let mut rows = Vec::new();
     for sweep in corners {
-        sweep(threads_list, per_thread, runs, quick, &sinks, &mut main_flush, &mut rows);
+        sweep(threads_list, per_thread, runs, quick, &sink, &mut main_flush, &mut rows);
     }
-    sweep_stm(threads_list, stm_per_thread, runs, quick, &sinks, &mut main_flush, &mut rows);
+    sweep_stm(threads_list, stm_per_thread, runs, quick, &sink, &mut main_flush, &mut rows);
 
     // Markdown report: one table per structure, one row per thread count,
     // seed configuration vs. hardened configuration plus the single-knob
@@ -507,7 +466,7 @@ fn main() -> ExitCode {
     report.table(&table);
     print!("{}", report.to_markdown());
 
-    let json = to_json(&rows, threads_list, per_thread, runs, &sinks);
+    let json = to_json(&rows, threads_list, per_thread, runs, &sink);
     if let Err(e) = fs::write("BENCH_contention.json", &json) {
         eprintln!("[exp_contention] FAILED to write BENCH_contention.json: {e}");
         return ExitCode::FAILURE;

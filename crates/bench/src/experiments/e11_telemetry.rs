@@ -54,21 +54,26 @@ impl PlainLlSc {
     }
 
     #[inline]
-    fn ll(&self, keep: &mut u64) -> u64 {
-        *keep = self.cell.load(Ordering::Acquire);
-        self.layout.val(*keep)
+    fn ll(&self, keep: &mut Option<u64>) -> u64 {
+        let word = self.cell.load(Ordering::Acquire);
+        *keep = Some(word);
+        self.layout.val(word)
     }
 
     #[inline]
-    fn vl(&self, keep: u64) -> bool {
-        keep == self.cell.load(Ordering::Acquire)
+    fn vl(&self, keep: Option<u64>) -> bool {
+        keep.is_some_and(|word| word == self.cell.load(Ordering::Acquire))
     }
 
     #[inline]
-    fn sc(&self, keep: u64, new: u64) -> bool {
-        // Mirrors `CasLlSc::sc` exactly: same bound assert, same shift+or
-        // packing, same orderings — minus the telemetry record call.
+    fn sc(&self, keep: Option<u64>, new: u64) -> bool {
+        // Mirrors `CasLlSc::sc` exactly: same bound assert, same unfilled
+        // keep check, same shift+or packing, same orderings — minus the
+        // telemetry record call.
         assert!(new <= self.layout.max_val(), "value exceeds layout maximum");
+        let Some(keep) = keep else {
+            return false;
+        };
         let newword = (self.layout.tag_succ(self.layout.tag(keep)) << self.layout.val_bits()) | new;
         self.cell
             .compare_exchange(keep, newword, Ordering::AcqRel, Ordering::Acquire)
@@ -122,7 +127,7 @@ pub fn overhead_pairs(iters: u64, runs: usize) -> Vec<OverheadPair> {
         let plain = PlainLlSc::new(0);
         let mask = plain.layout.max_val();
         let plain_ns = ns_per_op(iters, runs, || {
-            let mut keep = 0u64;
+            let mut keep = None;
             loop {
                 let old = plain.ll(&mut keep);
                 if plain.sc(keep, old.wrapping_add(1) & mask) {
@@ -150,7 +155,7 @@ pub fn overhead_pairs(iters: u64, runs: usize) -> Vec<OverheadPair> {
         });
         let plain = PlainLlSc::new(7);
         let plain_ns = ns_per_op(iters, runs, || {
-            let mut keep = 0u64;
+            let mut keep = None;
             let v = plain.ll(&mut keep);
             black_box((v, plain.vl(keep)));
         });
@@ -435,13 +440,14 @@ mod tests {
     #[test]
     fn plain_replica_matches_llsc_semantics() {
         let v = PlainLlSc::new(3);
-        let mut keep = 0u64;
+        let mut keep = None;
+        assert!(!v.sc(keep, 4), "an SC no LL preceded must fail");
         assert_eq!(v.ll(&mut keep), 3);
         assert!(v.vl(keep));
         assert!(v.sc(keep, 4));
         assert!(!v.vl(keep));
         assert!(!v.sc(keep, 5), "stale keep must fail");
-        let mut k2 = 0u64;
+        let mut k2 = None;
         assert_eq!(v.ll(&mut k2), 4);
     }
 

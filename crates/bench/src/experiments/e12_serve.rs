@@ -52,20 +52,17 @@
 //!
 //! All per-cell counters come from single-WLL
 //! [`CellSnapshot`](nbsp_serve::CellSnapshot)s and the
-//! run-level telemetry block from the Figure-6
-//! [`WideTotals`](nbsp_core::WideTotals)/[`WideHists`](nbsp_core::WideHists)
-//! sinks — no racy sums anywhere on the reporting path. The run writes
+//! run-level telemetry block from the Figure-6 [`WideTotals`] sink — no
+//! racy sums anywhere on the reporting path. The run writes
 //! `BENCH_serve.json` for trend tracking.
 
+use nbsp_core::WideTotals;
 use nbsp_serve::service::CLAIM_NS_PER_CONTENDER;
-use nbsp_serve::{
-    run_cell, AdmissionConfig, ArrivalProcess, CellResult, Dispatch, Pool, ServeSinks, Workload,
-};
+use nbsp_serve::{run_cell, AdmissionConfig, ArrivalProcess, CellResult, Dispatch, Pool, Workload};
 
-use super::serving::{
-    cell_config, cell_json, pool_capacity, telemetry_json, RING_CAPACITY, SERVICE_MEAN_NS,
-};
+use super::serving::{cell_config, cell_json, pool_capacity, RING_CAPACITY, SERVICE_MEAN_NS};
 use crate::report::{fmt_ns, fmt_ops, Report, Table};
+use crate::sinks::telemetry_json;
 
 /// Seed for every cell (the cell configs differ, so streams do too).
 const SEED: u64 = 0x5e12_5e12;
@@ -145,7 +142,7 @@ fn run_scale_one(
     workers: usize,
     process: ArrivalProcess,
     requests: u64,
-    sinks: &ServeSinks,
+    sink: &WideTotals,
 ) -> ScaleRow {
     let cfg = cell_config(
         SEED,
@@ -156,7 +153,7 @@ fn run_scale_one(
         requests,
         Some(admission_for(workers)),
     );
-    let result = run_cell(&cfg, Some(sinks));
+    let result = run_cell(&cfg, Some(sink));
     eprintln!(
         "[e12_serve] scale {} w={} {} rate={}: p99={} shed={} steals={} refills={}",
         arch_name(arch),
@@ -217,7 +214,7 @@ fn run_one(
     workload: Workload,
     requests: u64,
     admit: bool,
-    sinks: &ServeSinks,
+    sink: &WideTotals,
 ) -> CellRow {
     let cfg = cell_config(
         SEED,
@@ -228,7 +225,7 @@ fn run_one(
         requests,
         admit.then(admission),
     );
-    let result = run_cell(&cfg, Some(sinks));
+    let result = run_cell(&cfg, Some(sink));
     eprintln!(
         "[e12_serve] {} rate={} {} admission={}: p50={} p99={} shed={}/{}",
         process.name(),
@@ -249,7 +246,7 @@ fn run_one(
     }
 }
 
-fn to_json(rows: &[CellRow], scale: &[ScaleRow], requests: u64, sinks: &ServeSinks) -> String {
+fn to_json(rows: &[CellRow], scale: &[ScaleRow], requests: u64, sink: &WideTotals) -> String {
     let adm = admission();
     let mut s = String::new();
     s.push_str("{\n");
@@ -308,7 +305,7 @@ fn to_json(rows: &[CellRow], scale: &[ScaleRow], requests: u64, sinks: &ServeSin
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&telemetry_json("  ", sinks));
+    s.push_str(&telemetry_json("  ", sink));
     s.push_str("\n}\n");
     s
 }
@@ -333,7 +330,7 @@ fn find<'a>(rows: &'a [CellRow], structure: &str, rate: f64, admission: bool) ->
 /// the admission p99 gate does not hold, or if the JSON cannot be
 /// written.
 pub fn run(requests: u64) -> Report {
-    let sinks = ServeSinks::new().expect("telemetry sinks");
+    let sink = WideTotals::with_all_slots().expect("telemetry sink");
     let mut rows: Vec<CellRow> = Vec::new();
     for workload in Workload::ALL {
         for rho in RHO {
@@ -341,7 +338,7 @@ pub fn run(requests: u64) -> Report {
                 rate_per_sec: rho * capacity_per_sec(),
             };
             for admit in [false, true] {
-                rows.push(run_one(process, workload, requests, admit, &sinks));
+                rows.push(run_one(process, workload, requests, admit, &sink));
             }
         }
     }
@@ -353,7 +350,7 @@ pub fn run(requests: u64) -> Report {
         off_mean_ns: 50_000.0,
     };
     for admit in [false, true] {
-        rows.push(run_one(onoff, Workload::Counter, requests, admit, &sinks));
+        rows.push(run_one(onoff, Workload::Counter, requests, admit, &sink));
     }
 
     // The scaling sweep: pool size × architecture × offered load,
@@ -365,17 +362,17 @@ pub fn run(requests: u64) -> Report {
                 rate_per_sec: rho * pool_capacity(w),
             };
             for arch in [SINGLE_RING, FABRIC] {
-                scale.push(run_scale_one(arch, w, process, requests, &sinks));
+                scale.push(run_scale_one(arch, w, process, requests, &sink));
             }
         }
     }
     // Flash crowd at scale: both architectures at 8 workers (collapse
     // gate), fabric again at 16 (steal gate at the top of the curve).
-    scale.push(run_scale_one(SINGLE_RING, 8, scale_onoff(8), requests, &sinks));
-    scale.push(run_scale_one(FABRIC, 8, scale_onoff(8), requests, &sinks));
-    scale.push(run_scale_one(FABRIC, 16, scale_onoff(16), requests, &sinks));
+    scale.push(run_scale_one(SINGLE_RING, 8, scale_onoff(8), requests, &sink));
+    scale.push(run_scale_one(FABRIC, 8, scale_onoff(8), requests, &sink));
+    scale.push(run_scale_one(FABRIC, 16, scale_onoff(16), requests, &sink));
 
-    let json = to_json(&rows, &scale, requests, &sinks);
+    let json = to_json(&rows, &scale, requests, &sink);
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     eprintln!("[e12_serve] wrote BENCH_serve.json ({} cells)", rows.len());
 

@@ -45,19 +45,19 @@
 //!
 //! The run writes `BENCH_elastic.json` for trend tracking.
 
-use nbsp_core::ProviderId;
+use nbsp_core::{ProviderId, WideTotals};
 use nbsp_dynamic::{sweep, SweepReport};
 use nbsp_serve::service::CLAIM_NS_PER_CONTENDER;
 use nbsp_serve::{
     run_cell, run_cell_as, AdmissionConfig, ArrivalProcess, CellConfig, CellResult, Dispatch,
-    Pool, ScalerConfig, ServeSinks, Workload,
+    Pool, ScalerConfig, Workload,
 };
 
 use super::serving::{
-    cell_config, cell_json, pool_capacity, pool_json, telemetry_json, RING_CAPACITY,
-    SERVICE_MEAN_NS,
+    cell_config, cell_json, pool_capacity, pool_json, RING_CAPACITY, SERVICE_MEAN_NS,
 };
 use crate::report::{fmt_ns, fmt_ops, Report, Table};
+use crate::sinks::telemetry_json;
 
 /// Seed for every cell and for the crash sweep.
 const SEED: u64 = 0x5e14_5e14;
@@ -140,8 +140,8 @@ fn config(pool: Pool, requests: u64) -> CellConfig {
 }
 
 /// One fixed-size pool on the native entry.
-fn run_fixed(workers: usize, requests: u64, sinks: &ServeSinks) -> CellResult {
-    let result = run_cell(&config(Pool::Fixed(workers), requests), Some(sinks));
+fn run_fixed(workers: usize, requests: u64, sink: &WideTotals) -> CellResult {
+    let result = run_cell(&config(Pool::Fixed(workers), requests), Some(sink));
     eprintln!(
         "[e14_elastic] fixed w={workers}: p99={} shed={}/{} steals={}",
         fmt_ns(result.p99_ns as f64),
@@ -153,13 +153,13 @@ fn run_fixed(workers: usize, requests: u64, sinks: &ServeSinks) -> CellResult {
 }
 
 /// The elastic pool on `provider`.
-fn run_elastic_on(provider: ProviderId, requests: u64, sinks: &ServeSinks) -> CellResult {
+fn run_elastic_on(provider: ProviderId, requests: u64, sink: &WideTotals) -> CellResult {
     let pool = Pool::Elastic {
         min: MIN_WORKERS,
         max: MAX_WORKERS,
         scaler: scaler(),
     };
-    let r = run_cell_as(provider, &config(pool, requests), Some(sinks));
+    let r = run_cell_as(provider, &config(pool, requests), Some(sink));
     eprintln!(
         "[e14_elastic] elastic[{}]: p99={} shed={}/{} resizes={} peak={} low={}",
         provider.name(),
@@ -178,7 +178,7 @@ fn to_json(
     elastic: &[(ProviderId, CellResult)],
     crash: &SweepReport,
     requests: u64,
-    sinks: &ServeSinks,
+    sink: &WideTotals,
 ) -> String {
     let adm = admission();
     let sc = scaler();
@@ -234,7 +234,7 @@ fn to_json(
          \"max_recovered\": {}}},\n",
         crash.trials, crash.crashed, crash.completed, crash.min_recovered, crash.max_recovered
     ));
-    s.push_str(&telemetry_json("  ", sinks));
+    s.push_str(&telemetry_json("  ", sink));
     s.push_str("\n}\n");
     s
 }
@@ -250,27 +250,27 @@ fn to_json(
 /// not byte-identical, the providers disagree, the crash sweep misses an
 /// outcome class, or the JSON cannot be written.
 pub fn run(requests: u64, crash_trials: usize) -> Report {
-    let sinks = ServeSinks::new().expect("telemetry sinks");
+    let sink = WideTotals::with_all_slots().expect("telemetry sink");
 
     let fixed: Vec<(usize, CellResult)> = FIXED_WORKERS
         .iter()
-        .map(|&w| (w, run_fixed(w, requests, &sinks)))
+        .map(|&w| (w, run_fixed(w, requests, &sink)))
         .collect();
 
-    let elastic = run_elastic_on(ProviderId::Dynamic, requests, &sinks);
-    let elastic_again = run_elastic_on(ProviderId::Dynamic, requests, &sinks);
-    let elastic_durable = run_elastic_on(ProviderId::DynamicDurable, requests, &sinks);
-    let elastic_native = run_elastic_on(ProviderId::Fig4Native, requests, &sinks);
+    let elastic = run_elastic_on(ProviderId::Dynamic, requests, &sink);
+    let elastic_again = run_elastic_on(ProviderId::Dynamic, requests, &sink);
+    let elastic_durable = run_elastic_on(ProviderId::DynamicDurable, requests, &sink);
+    let elastic_native = run_elastic_on(ProviderId::Fig4Native, requests, &sink);
 
     // The sweep's recover/rejoin events land in this thread's telemetry
     // buffer; baseline a flusher here (not earlier — the cells above
     // flushed their own main-thread deltas) and fold the sweep's events
-    // into the run-level sinks so the JSON's `crash_recover` count
+    // into the run-level sink so the JSON's `crash_recover` count
     // reflects the trials.
-    let mut events = nbsp_telemetry::Flusher::new();
+    let mut flusher = nbsp_telemetry::Flusher::new();
     let crash = sweep(SEED, crash_trials, CRASH_THREADS, CRASH_OPS);
     let crash_again = sweep(SEED, crash_trials, CRASH_THREADS, CRASH_OPS);
-    events.flush(&sinks.events);
+    flusher.flush(&sink);
     eprintln!(
         "[e14_elastic] crash sweep: {} trials, {} crashed, {} crash-free, recovered in [{}, {}]",
         crash.trials, crash.crashed, crash.completed, crash.min_recovered, crash.max_recovered
@@ -281,7 +281,7 @@ pub fn run(requests: u64, crash_trials: usize) -> Report {
         (ProviderId::DynamicDurable, elastic_durable),
         (ProviderId::Fig4Native, elastic_native),
     ];
-    let json = to_json(&fixed, &elastic_rows, &crash, requests, &sinks);
+    let json = to_json(&fixed, &elastic_rows, &crash, requests, &sink);
     std::fs::write("BENCH_elastic.json", &json).expect("write BENCH_elastic.json");
     eprintln!("[e14_elastic] wrote BENCH_elastic.json");
 

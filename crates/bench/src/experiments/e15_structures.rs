@@ -46,16 +46,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nbsp_core::{with_provider, Provider, ProviderId};
+use nbsp_core::{with_provider, Provider, ProviderId, WideTotals};
 use nbsp_memsim::rng::SplitMix64;
 use nbsp_serve::{run_cell, ArrivalProcess, CellConfig, CellResult, Dispatch, Pool, Workload};
 use nbsp_structures::{ordmap_capacity, LockMap, OrdMap};
-use nbsp_telemetry::{AtomicTotals, Event};
+use nbsp_telemetry::{AtomicTotals, Event, Flusher};
 
 use super::serving::{cell_config, cell_json, SERVICE_MEAN_NS};
 use crate::measure::{throughput, throughput_sessions};
 use crate::report::{event_table, fmt_ns, fmt_ops, Report, Table};
-use crate::sinks::{session_loop, FlushPair, Sinks};
+use crate::sinks::session_loop;
 
 /// Seed for every keyed cell and every per-thread key stream.
 const SEED: u64 = 0x5e15_5e15;
@@ -177,7 +177,7 @@ pub struct E15Results {
     /// still zero (rare events at quick scales).
     pub zipf_rerolls: u32,
     /// Run-level event sink (for the report's closing table).
-    pub sinks: Sinks,
+    pub sink: WideTotals,
     /// Requests per keyed cell.
     pub requests: u64,
     /// Total map operations per throughput cell.
@@ -248,8 +248,8 @@ fn ordmap_tput<P: Provider>(
     space: u64,
     cdf: &[f64],
     mix: u64,
-    sinks: &Sinks,
-    main: &mut FlushPair,
+    sink: &WideTotals,
+    main: &mut Flusher,
 ) -> MapStats {
     let env = P::env(n + 1).expect("provider env");
     // Construction does LL/SC work: it uses the env's extra context slot.
@@ -264,7 +264,7 @@ fn ordmap_tput<P: Provider>(
     );
     let inserted = AtomicU64::new(0);
     let deleted = AtomicU64::new(0);
-    main.flush(sinks);
+    main.flush(sink);
     let tput = throughput_sessions(n, per_thread, |tid| {
         let m = &m;
         let (inserted, deleted) = (&inserted, &deleted);
@@ -273,7 +273,7 @@ fn ordmap_tput<P: Provider>(
         move |iters: u64| {
             let mut ctx = P::ctx(&mut tc);
             let (mut ins, mut del) = (0u64, 0u64);
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 let op = rng.next_u64();
                 let key = draw_key(&mut rng, space, cdf);
                 match op % mix {
@@ -357,24 +357,24 @@ fn ordmap_rows<P: Provider>(
     space: u64,
     cdf: &[f64],
     mix: u64,
-    sinks: &Sinks,
-    main: &mut FlushPair,
+    sink: &WideTotals,
+    main: &mut Flusher,
 ) -> Vec<(usize, MapStats)> {
     THREADS
         .iter()
-        .map(|&n| (n, ordmap_tput::<P>(n, iters / n as u64, space, cdf, mix, sinks, main)))
+        .map(|&n| (n, ordmap_tput::<P>(n, iters / n as u64, space, cdf, mix, sink, main)))
         .collect()
 }
 
 /// All substrates' thread sweeps for one skew.
-fn skew_sweep(iters: u64, space: u64, zipf: bool, sinks: &Sinks, main: &mut FlushPair) -> SkewRows {
+fn skew_sweep(iters: u64, space: u64, zipf: bool, sink: &WideTotals, main: &mut Flusher) -> SkewRows {
     let cdf = if zipf { zipf_cdf(space) } else { Vec::new() };
     let mix = if zipf { ADVERSARIAL_MIX } else { SERVE_MIX };
     let mut rows: SkewRows = Vec::new();
     for id in TPUT_PROVIDERS {
         macro_rules! one {
             ($p:ty) => {
-                rows.push((id.name(), ordmap_rows::<$p>(iters, space, &cdf, mix, sinks, main)))
+                rows.push((id.name(), ordmap_rows::<$p>(iters, space, &cdf, mix, sink, main)))
             };
         }
         with_provider!(id, one);
@@ -420,12 +420,12 @@ pub fn collect(requests: u64, iters: u64) -> E15Results {
 
     // The event totals before/after the Zipf sweep isolate its
     // helps/aborts from the uniform sweep's.
-    let sinks = Sinks::new();
-    let mut main_flush = FlushPair::new();
-    let uniform = skew_sweep(iters, UNIFORM_KEY_SPACE, false, &sinks, &mut main_flush);
-    let before = sinks.events.totals();
-    let zipf = skew_sweep(iters, ZIPF_TPUT_SPACE, true, &sinks, &mut main_flush);
-    let after = sinks.events.totals();
+    let sink = WideTotals::with_all_slots().expect("telemetry sink");
+    let mut main_flush = Flusher::new();
+    let uniform = skew_sweep(iters, UNIFORM_KEY_SPACE, false, &sink, &mut main_flush);
+    let before = sink.totals();
+    let zipf = skew_sweep(iters, ZIPF_TPUT_SPACE, true, &sink, &mut main_flush);
+    let after = sink.totals();
     let mut zipf_contention = nbsp_telemetry::enabled().then(|| {
         (
             after[Event::LlxHelp.index()] - before[Event::LlxHelp.index()],
@@ -448,7 +448,7 @@ pub fn collect(requests: u64, iters: u64) -> E15Results {
         let n = *THREADS.last().expect("thread sweep is non-empty");
         let per_thread = (iters / n as u64).max(25_000);
         while (*helps == 0 || *aborts == 0) && zipf_rerolls < 8 {
-            let before = sinks.events.totals();
+            let before = sink.totals();
             macro_rules! reroll {
                 ($p:ty) => {
                     ordmap_tput::<$p>(
@@ -457,13 +457,13 @@ pub fn collect(requests: u64, iters: u64) -> E15Results {
                         ZIPF_TPUT_SPACE,
                         &cdf,
                         ADVERSARIAL_MIX,
-                        &sinks,
+                        &sink,
                         &mut main_flush,
                     )
                 };
             }
             let _ = with_provider!(ProviderId::Fig4Native, reroll);
-            let after = sinks.events.totals();
+            let after = sink.totals();
             *helps += after[Event::LlxHelp.index()] - before[Event::LlxHelp.index()];
             *aborts += after[Event::ScxAbort.index()] - before[Event::ScxAbort.index()];
             zipf_rerolls += 1;
@@ -480,7 +480,7 @@ pub fn collect(requests: u64, iters: u64) -> E15Results {
         zipf,
         zipf_contention,
         zipf_rerolls,
-        sinks,
+        sink,
         requests,
         iters,
     }
@@ -660,7 +660,7 @@ fn render(r: &E15Results) -> Report {
              retried), after {} adversarial re-roll(s). Run-total event table:",
             r.zipf_rerolls,
         ));
-        report.table(&event_table(&r.sinks.events.totals(), None));
+        report.table(&event_table(&r.sink.totals(), None));
     }
 
     report.para(

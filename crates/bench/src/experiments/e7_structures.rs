@@ -17,17 +17,17 @@
 use std::sync::Arc;
 
 use nbsp_core::wide::WideDomain;
-use nbsp_core::{with_provider, Native, Provider, ProviderId};
+use nbsp_core::{with_provider, Native, Provider, ProviderId, WideTotals};
 use nbsp_memsim::ProcId;
 use nbsp_structures::stm::Stm;
 use nbsp_structures::stm_orec::OrecStm;
 use nbsp_structures::{Counter, Queue, Set, Stack};
-use nbsp_telemetry::AtomicTotals;
+use nbsp_telemetry::{AtomicTotals, Flusher};
 use std::sync::Mutex;
 
 use crate::measure::{throughput, throughput_sessions};
 use crate::report::{event_table, fmt_ops, Report, Table};
-use crate::sinks::{session_loop, FlushPair, Sinks};
+use crate::sinks::session_loop;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -45,16 +45,16 @@ const E7_PROVIDERS: [ProviderId; 4] = [
 ];
 
 /// Shared-counter increments.
-fn counter_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut FlushPair) -> f64 {
+fn counter_tput<P: Provider>(n: usize, per_thread: u64, sink: &WideTotals, main: &mut Flusher) -> f64 {
     let env = P::env(n + 1).expect("provider env");
     let c = Counter::new(P::var(&env, 0).expect("provider var"));
-    main.flush(sinks);
+    main.flush(sink);
     throughput_sessions(n, per_thread, |tid| {
         let c = &c;
         let mut tc = P::thread_ctx(&env, tid);
         move |iters: u64| {
             let mut ctx = P::ctx(&mut tc);
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 c.increment(&mut ctx);
             });
         }
@@ -62,7 +62,7 @@ fn counter_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mu
 }
 
 /// Treiber-stack push+pop pairs.
-fn stack_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut FlushPair) -> f64 {
+fn stack_tput<P: Provider>(n: usize, per_thread: u64, sink: &WideTotals, main: &mut Flusher) -> f64 {
     let env = P::env(n + 1).expect("provider env");
     // Construction does LL/SC work: it uses the env's extra context slot.
     let mut setup_tc = P::thread_ctx(&env, n);
@@ -73,13 +73,13 @@ fn stack_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut 
         P::var(&env, 0).expect("provider var"),
         &mut setup,
     );
-    main.flush(sinks);
+    main.flush(sink);
     throughput_sessions(n, per_thread, |tid| {
         let s = &s;
         let mut tc = P::thread_ctx(&env, tid);
         move |iters: u64| {
             let mut ctx = P::ctx(&mut tc);
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 let _ = s.push(&mut ctx, 1);
                 let _ = s.pop(&mut ctx);
             });
@@ -88,18 +88,18 @@ fn stack_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut 
 }
 
 /// Michael–Scott-queue enqueue+dequeue pairs.
-fn queue_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut FlushPair) -> f64 {
+fn queue_tput<P: Provider>(n: usize, per_thread: u64, sink: &WideTotals, main: &mut Flusher) -> f64 {
     let env = P::env(n + 1).expect("provider env");
     let mut setup_tc = P::thread_ctx(&env, n);
     let mut setup = P::ctx(&mut setup_tc);
     let q = Queue::new(64, || P::var(&env, 0).expect("provider var"), &mut setup);
-    main.flush(sinks);
+    main.flush(sink);
     throughput_sessions(n, per_thread, |tid| {
         let q = &q;
         let mut tc = P::thread_ctx(&env, tid);
         move |iters: u64| {
             let mut ctx = P::ctx(&mut tc);
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 let _ = q.enqueue(&mut ctx, 1);
                 let _ = q.dequeue(&mut ctx);
             });
@@ -110,13 +110,13 @@ fn queue_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut 
 /// Set add+remove pairs on per-thread key ranges. Arena sized for the
 /// set's lifetime-insert budget (nodes are not recycled; see the Set
 /// docs).
-fn set_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut FlushPair) -> f64 {
+fn set_tput<P: Provider>(n: usize, per_thread: u64, sink: &WideTotals, main: &mut Flusher) -> f64 {
     let env = P::env(n + 1).expect("provider env");
     let mut setup_tc = P::thread_ctx(&env, n);
     let mut setup = P::ctx(&mut setup_tc);
     let capacity = (per_thread as usize) * n + 64;
     let s = Set::new(capacity, || P::var(&env, 0).expect("provider var"), &mut setup);
-    main.flush(sinks);
+    main.flush(sink);
     throughput_sessions(n, per_thread, |tid| {
         let s = &s;
         let mut tc = P::thread_ctx(&env, tid);
@@ -124,7 +124,7 @@ fn set_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut Fl
         move |iters: u64| {
             let mut ctx = P::ctx(&mut tc);
             let mut i = 0u64;
-            session_loop(iters, sinks, || {
+            session_loop(iters, sink, || {
                 i += 1;
                 let _ = s.add(&mut ctx, key_base + (i % 64));
                 let _ = s.remove(&mut ctx, key_base + (i % 64));
@@ -137,15 +137,15 @@ fn set_tput<P: Provider>(n: usize, per_thread: u64, sinks: &Sinks, main: &mut Fl
 /// table uses.
 fn provider_rows<P: Provider>(
     iters: u64,
-    sinks: &Sinks,
-    main: &mut FlushPair,
+    sink: &WideTotals,
+    main: &mut Flusher,
 ) -> Vec<(&'static str, String)> {
-    let sweep = |work: fn(usize, u64, &Sinks, &mut FlushPair) -> f64,
+    let sweep = |work: fn(usize, u64, &WideTotals, &mut Flusher) -> f64,
                  per_thread: fn(u64, usize) -> u64,
-                 main: &mut FlushPair| {
+                 main: &mut Flusher| {
         THREADS
             .iter()
-            .map(|&n| fmt_ops(work(n, per_thread(iters, n), sinks, main)))
+            .map(|&n| fmt_ops(work(n, per_thread(iters, n), sink, main)))
             .collect::<Vec<_>>()
             .join(" / ")
     };
@@ -161,20 +161,20 @@ fn provider_rows<P: Provider>(
 /// provider-backed: the wide STM runs on a `WideDomain`, not a swappable
 /// single-word LL/SC variable — but its operations still flush telemetry
 /// into the run sink.)
-fn stm_rows(iters: u64, sinks: &Sinks, main: &mut FlushPair, t: &mut Table) {
+fn stm_rows(iters: u64, sink: &WideTotals, main: &mut Flusher, t: &mut Table) {
     const CELLS: usize = 8;
     let tp_stm: Vec<String> = THREADS
         .iter()
         .map(|&n| {
             let d: Arc<WideDomain<Native>> = WideDomain::new(n.max(2), CELLS, 32).unwrap();
             let stm = Stm::new(&d, &[100; CELLS]).unwrap();
-            main.flush(sinks);
+            main.flush(sink);
             let tput = throughput_sessions(n, iters / n as u64, |tid| {
                 let stm = &stm;
                 let p = ProcId::new(tid);
                 let mut x = tid as u64;
                 move |iters: u64| {
-                    session_loop(iters, sinks, || {
+                    session_loop(iters, sink, || {
                         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                         let from = (x >> 33) as usize % CELLS;
                         let to = (x >> 13) as usize % CELLS;
@@ -279,15 +279,15 @@ pub fn run(iters: u64) -> Report {
          instruction sets that real CAS-less machines would offer.",
     );
 
-    let sinks = Sinks::new();
-    let mut main_flush = FlushPair::new();
+    let sink = WideTotals::with_all_slots().expect("telemetry sink");
+    let mut main_flush = Flusher::new();
     let mut per_provider: Vec<(&'static str, Vec<(&'static str, String)>)> = Vec::new();
     for id in E7_PROVIDERS {
         macro_rules! rows_one {
             ($p:ty) => {
                 per_provider.push((
                     id.meta().name,
-                    provider_rows::<$p>(iters, &sinks, &mut main_flush),
+                    provider_rows::<$p>(iters, &sink, &mut main_flush),
                 ))
             };
         }
@@ -302,7 +302,7 @@ pub fn run(iters: u64) -> Report {
             t.row(vec![(*structure).into(), (*provider).into(), cells.clone()]);
         }
     }
-    stm_rows(iters / 2, &sinks, &mut main_flush, &mut t);
+    stm_rows(iters / 2, &sink, &mut main_flush, &mut t);
     report.table(&t);
 
     report.para(
@@ -333,7 +333,7 @@ pub fn run(iters: u64) -> Report {
              run-level Figure-6 sink with a single WLL (E11 shows why a \
              racy per-counter sum could not be trusted here):",
         );
-        report.table(&event_table(&sinks.events.totals(), None));
+        report.table(&event_table(&sink.totals(), None));
     }
     report
 }

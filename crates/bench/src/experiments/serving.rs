@@ -4,10 +4,8 @@
 //! percentiles and run-level telemetry the same way.
 
 use nbsp_serve::{
-    AdmissionConfig, ArrivalProcess, CellConfig, CellResult, Dispatch, Pool, PoolTrace, ServeSinks,
-    Workload,
+    AdmissionConfig, ArrivalProcess, CellConfig, CellResult, Dispatch, Pool, PoolTrace, Workload,
 };
-use nbsp_telemetry::{AtomicHists, AtomicTotals, Event, Hist};
 
 /// Mean virtual service demand per request.
 pub(crate) const SERVICE_MEAN_NS: f64 = 1_000.0;
@@ -70,40 +68,5 @@ pub(crate) fn pool_json(p: &PoolTrace) -> String {
         "{{\"resizes\": {}, \"scale_ups\": {}, \"scale_downs\": {}, \"peak_workers\": {}, \
          \"low_workers\": {}, \"final_workers\": {}}}",
         p.resizes, p.scale_ups, p.scale_downs, p.peak_workers, p.low_workers, p.final_workers,
-    )
-}
-
-/// Run-level telemetry block read from the Figure-6 sinks (one WLL per
-/// sink). `"enabled": false` when the feature is compiled out. The
-/// counts are racy by nature (real threads), unlike the cell fields.
-pub(crate) fn telemetry_json(indent: &str, sinks: &ServeSinks) -> String {
-    if !nbsp_telemetry::enabled() {
-        return format!("{indent}\"telemetry\": {{\"enabled\": false}}");
-    }
-    let totals = sinks.events.totals();
-    let events = Event::ALL
-        .iter()
-        .map(|e| format!("\"{}\": {}", e.name(), totals[e.index()]))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let hist_totals = sinks.hists.totals();
-    let hists = Hist::ALL
-        .iter()
-        .map(|h| {
-            let buckets = hist_totals[*h as usize]
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{indent}    \"{}\": [{buckets}]", h.name())
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{indent}\"telemetry\": {{\n\
-         {indent}  \"enabled\": true,\n\
-         {indent}  \"events\": {{{events}}},\n\
-         {indent}  \"histograms\": {{\n{hists}\n{indent}  }}\n\
-         {indent}}}"
     )
 }

@@ -108,11 +108,12 @@ impl Table {
 }
 
 /// Renders the non-zero entries of a per-event totals vector (indexed by
-/// [`nbsp_telemetry::Event`]) as a table, with a per-operation column when
+/// [`nbsp_telemetry::Event`]; a whole telemetry row works too, its events
+/// come first) as a table, with a per-operation column when
 /// `ops` is known. Shared by the E11 report and `exp_contention`'s
 /// per-cell `--quick` output.
 #[must_use]
-pub fn event_table(totals: &[u64; nbsp_telemetry::EVENT_COUNT], ops: Option<u64>) -> Table {
+pub fn event_table(totals: &[u64], ops: Option<u64>) -> Table {
     let mut t = if ops.is_some() {
         Table::new(vec!["event", "count", "per op"])
     } else {

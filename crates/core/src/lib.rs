@@ -81,7 +81,7 @@ pub use llsc_from_rll::RllLlSc;
 pub use ops::LlScVar;
 pub use provider::{Provider, ProviderId, ProviderMeta, Tier};
 pub use tag_queue::{ScanQueue, TagQueue};
-pub use telemetry::{WideHists, WideTotals};
+pub use telemetry::{WideSum, WideTotals};
 
 // Re-exported so users of the constructions can pad their own per-process
 // slots the same way the announce arrays are padded. (Defined in

@@ -24,8 +24,12 @@ use crate::{CasFamily, CasMemory, Error, Native, Result, TagLayout};
 ///
 /// One `Keep` per LL–SC sequence; it normally lives on the caller's stack
 /// (which is why the paper does not count it as space overhead).
+/// `Keep::default()` holds no word until an LL fills it, and VL and SC on
+/// an unfilled keep return `false`: an SC that no LL preceded has no
+/// sequence to complete (Figure 2), even where the variable's word happens
+/// to equal an all-zero keep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Keep(pub(crate) u64);
+pub struct Keep(pub(crate) Option<u64>);
 
 /// A small variable supporting LL/VL/SC over any [`CasMemory`].
 ///
@@ -111,12 +115,14 @@ impl<F: CasFamily> CasLlSc<F> {
     /// `SeqCst` buys nothing here.
     #[inline]
     pub fn ll<M: CasMemory<Family = F>>(&self, mem: &M, keep: &mut Keep) -> u64 {
-        keep.0 = mem.load_acquire(&self.cell);
-        self.layout.val(keep.0)
+        let word = mem.load_acquire(&self.cell);
+        keep.0 = Some(word);
+        self.layout.val(word)
     }
 
     /// Figure 4's `VL(addr, keep)`: true iff no successful SC hit the
-    /// variable since the LL that wrote `keep`. Linearizes at the read.
+    /// variable since the LL that wrote `keep` (`false` for a keep no LL
+    /// filled). Linearizes at the read.
     ///
     /// **Ordering — acquire.** VL compares against the same single cell the
     /// LL read; coherence alone decides the boolean. Acquire keeps the
@@ -124,11 +130,13 @@ impl<F: CasFamily> CasLlSc<F> {
     #[inline]
     #[must_use]
     pub fn vl<M: CasMemory<Family = F>>(&self, mem: &M, keep: &Keep) -> bool {
-        keep.0 == mem.load_acquire(&self.cell)
+        keep.0
+            .is_some_and(|word| word == mem.load_acquire(&self.cell))
     }
 
     /// Figure 4's `SC(addr, keep, new)`: one CAS from the kept word to
-    /// `(keep.tag ⊕ 1, new)`. Linearizes at the CAS.
+    /// `(keep.tag ⊕ 1, new)`. Linearizes at the CAS; fails without one for
+    /// a keep no LL filled.
     ///
     /// **Ordering — acquire-release.** A successful SC is the release half
     /// of the publication chain whose acquire half is [`CasLlSc::ll`]: it
@@ -150,10 +158,13 @@ impl<F: CasFamily> CasLlSc<F> {
             "value {new} exceeds layout maximum {}",
             self.layout.max_val()
         );
+        let Some(old) = keep.0 else {
+            return false;
+        };
         let newword = self
             .layout
-            .pack_unchecked(self.layout.tag_succ(self.layout.tag(keep.0)), new);
-        let ok = mem.cas_acqrel(&self.cell, keep.0, newword);
+            .pack_unchecked(self.layout.tag_succ(self.layout.tag(old)), new);
+        let ok = mem.cas_acqrel(&self.cell, old, newword);
         nbsp_telemetry::record(if ok {
             nbsp_telemetry::Event::ScSuccess
         } else {
@@ -188,6 +199,18 @@ mod tests {
 
     fn native_var(initial: u64) -> CasLlSc<Native> {
         CasLlSc::new(TagLayout::half(), initial).unwrap()
+    }
+
+    #[test]
+    fn sc_and_vl_without_ll_fail() {
+        // A fresh 0-initialised word packs to 0 (tag 0, value 0): exactly
+        // what an unfilled keep would hold if it were a bare word.
+        let v = native_var(0);
+        let mem = Native;
+        let k = Keep::default();
+        assert!(!v.vl(&mem, &k));
+        assert!(!v.sc(&mem, &k, 5), "an SC no LL preceded must fail");
+        assert_eq!((v.read(&mem), v.current_tag(&mem)), (0, 0));
     }
 
     #[test]

@@ -76,20 +76,22 @@ impl RllLlSc {
     /// Figure 5's `LL`: a plain read saved into `keep`. Linearizes at the
     /// read. Uses no reservation, so sequences may overlap freely.
     pub fn ll(&self, proc: &Processor, keep: &mut Keep) -> u64 {
-        keep.0 = proc.read(&self.cell);
-        self.layout.val(keep.0)
+        let word = proc.read(&self.cell);
+        keep.0 = Some(word);
+        self.layout.val(word)
     }
 
-    /// Figure 5's `VL`: true iff the word still equals `keep`.
-    /// Linearizes at the read.
+    /// Figure 5's `VL`: true iff the word still equals `keep` (`false` for
+    /// a keep no LL filled). Linearizes at the read.
     #[must_use]
     pub fn vl(&self, proc: &Processor, keep: &Keep) -> bool {
-        keep.0 == proc.read(&self.cell)
+        keep.0.is_some_and(|word| word == proc.read(&self.cell))
     }
 
     /// Figure 5's `SC`: attempts to install `(keep.tag ⊕ 1, new)` with a
     /// tight RLL→RSC retry loop. Wait-free given finitely many spurious
-    /// failures; constant time after the last one.
+    /// failures; constant time after the last one. Fails without touching
+    /// the word for a keep no LL filled.
     ///
     /// # Panics
     ///
@@ -102,7 +104,9 @@ impl RllLlSc {
             "value {new} exceeds layout maximum {}",
             self.layout.max_val()
         );
-        let oldword = keep.0;
+        let Some(oldword) = keep.0 else {
+            return false;
+        };
         let newword = self
             .layout
             .pack_unchecked(self.layout.tag_succ(self.layout.tag(oldword)), new);
@@ -138,6 +142,19 @@ mod tests {
         Machine::builder(n)
             .instruction_set(InstructionSet::RllRscOnly)
             .build()
+    }
+
+    #[test]
+    fn sc_and_vl_without_ll_fail() {
+        // A fresh 0-initialised word packs to 0 (tag 0, value 0): exactly
+        // what an unfilled keep would hold if it were a bare word.
+        let m = machine(1);
+        let p = m.processor(0);
+        let v = RllLlSc::new(TagLayout::half(), 0).unwrap();
+        let k = Keep::default();
+        assert!(!v.vl(&p, &k));
+        assert!(!v.sc(&p, &k, 5), "an SC no LL preceded must fail");
+        assert_eq!((v.read(&p), v.current_tag(&p)), (0, 0));
     }
 
     #[test]

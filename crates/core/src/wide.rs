@@ -473,6 +473,13 @@ impl<F: CasFamily> WideVar<F> {
         self.domain.hdr_tag(mem.load(&self.hdr))
     }
 
+    /// Segment `i` as stored: its `(tag, value)` fields (for tests).
+    #[cfg(test)]
+    pub(crate) fn segment<M: CasMemory<Family = F>>(&self, mem: &M, i: usize) -> (u64, u64) {
+        let y = mem.load(&self.data[i]);
+        (self.domain.seg.tag(y), self.domain.seg.val(y))
+    }
+
     /// Test-only hook: simulate a process that performed the header swing of
     /// an SC (lines 14–19) and then stalled *before* copying any segment
     /// (line 20). Returns `true` if the header CAS succeeded. Used to

@@ -75,9 +75,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use nbsp_core::{Backoff, LlScVar, Provider};
+use nbsp_core::{Backoff, LlScVar, Provider, WideTotals};
 use nbsp_memsim::rng::SplitMix64;
-use nbsp_telemetry::{Flusher, HistFlusher};
+use nbsp_telemetry::Flusher;
 
 use crate::admission::TokenBucket;
 use crate::fabric::{
@@ -85,7 +85,7 @@ use crate::fabric::{
 };
 use crate::loadgen::{LoadGen, Request};
 use crate::metrics::{CellFlusher, CellSink};
-use crate::service::{CellConfig, Dispatch, Pool, ServeSinks, CLAIM_NS_PER_CONTENDER, FLUSH_EVERY};
+use crate::service::{CellConfig, Dispatch, Pool, CLAIM_NS_PER_CONTENDER, FLUSH_EVERY};
 
 /// The producer-driven autoscaler's policy knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,7 +162,7 @@ struct Shared<'a, P: Provider> {
     active: &'a AtomicU64,
     done: &'a AtomicBool,
     sink: &'a CellSink,
-    sinks: Option<&'a ServeSinks>,
+    telemetry: Option<&'a WideTotals>,
     seed: u64,
 }
 
@@ -199,12 +199,10 @@ impl<P: Provider> Shared<'_, P> {
     }
 }
 
-type TeleFlushers = Option<(Flusher, HistFlusher)>;
-
-fn flush_telemetry(tele: &mut TeleFlushers, sinks: Option<&ServeSinks>) {
-    if let (Some((events, hists)), Some(s)) = (tele.as_mut(), sinks) {
-        events.flush(&s.events);
-        hists.flush(&s.hists);
+/// Publishes the thread's telemetry delta, when the cell has a sink.
+fn flush_telemetry(tele: &mut Option<Flusher>, telemetry: Option<&WideTotals>) {
+    if let (Some(f), Some(sink)) = (tele.as_mut(), telemetry) {
+        f.flush(sink);
     }
 }
 
@@ -214,7 +212,7 @@ fn flush_telemetry(tele: &mut TeleFlushers, sinks: Option<&ServeSinks>) {
 pub(crate) fn drive<P: Provider, F>(
     cfg: &CellConfig,
     sink: &CellSink,
-    sinks: Option<&ServeSinks>,
+    telemetry: Option<&WideTotals>,
     make_op: impl FnMut(usize) -> F,
 ) -> PoolTrace
 where
@@ -256,7 +254,7 @@ where
         active: &active,
         done: &done,
         sink,
-        sinks,
+        telemetry,
         seed: cfg.seed,
     };
     std::thread::scope(|s| {
@@ -290,7 +288,7 @@ fn produce<P: Provider>(cfg: &CellConfig, shared: &Shared<'_, P>) -> PoolTrace {
         None => LoadGen::new(cfg.seed, cfg.process, cfg.service_mean_ns),
     };
     let mut cell = CellFlusher::new(max);
-    let mut tele = shared.sinks.map(|_| (Flusher::new(), HistFlusher::new()));
+    let mut tele = shared.telemetry.map(|_| Flusher::new());
     // Per-ring cursor and per-server clocks. A server's `free` clock
     // survives deactivation — a re-activated server may still be
     // finishing what it had (the pool pays for scaling into servers that
@@ -395,12 +393,12 @@ fn produce<P: Provider>(cfg: &CellConfig, shared: &Shared<'_, P>) -> PoolTrace {
         unflushed += 1;
         if unflushed >= FLUSH_EVERY {
             cell.flush(shared.sink);
-            flush_telemetry(&mut tele, shared.sinks);
+            flush_telemetry(&mut tele, shared.telemetry);
             unflushed = 0;
         }
     }
     cell.flush(shared.sink);
-    flush_telemetry(&mut tele, shared.sinks);
+    flush_telemetry(&mut tele, shared.telemetry);
     trace.final_workers = active;
     trace
 }
@@ -409,7 +407,7 @@ fn produce<P: Provider>(cfg: &CellConfig, shared: &Shared<'_, P>) -> PoolTrace {
 /// slot), serve an activation epoch, retire, repeat.
 fn worker<P: Provider, F: FnMut(u64)>(shared: &Shared<'_, P>, me: usize, mut op: F) {
     let mut cell = CellFlusher::new(me);
-    let mut tele = shared.sinks.map(|_| (Flusher::new(), HistFlusher::new()));
+    let mut tele = shared.telemetry.map(|_| Flusher::new());
     let mut backoff = Backoff::new();
     // Victim rotation is seeded per worker: deterministic *sequence* of
     // starting points (me ⊕ cell seed), racy outcomes.
@@ -452,7 +450,7 @@ fn worker<P: Provider, F: FnMut(u64)>(shared: &Shared<'_, P>, me: usize, mut op:
         }
     }
     cell.flush(shared.sink);
-    flush_telemetry(&mut tele, shared.sinks);
+    flush_telemetry(&mut tele, shared.telemetry);
 }
 
 /// One activation epoch: pop the own ring, steal when dry, leave when
@@ -463,7 +461,7 @@ fn serve_epoch<P: Provider, F: FnMut(u64)>(
     me: usize,
     op: &mut F,
     cell: &mut CellFlusher,
-    tele: &mut TeleFlushers,
+    tele: &mut Option<Flusher>,
     tc: &mut P::ThreadCtx,
     rng: &mut SplitMix64,
 ) -> bool {
@@ -523,12 +521,12 @@ fn serve_epoch<P: Provider, F: FnMut(u64)>(
         }
         if unflushed >= FLUSH_EVERY {
             cell.flush(shared.sink);
-            flush_telemetry(tele, shared.sinks);
+            flush_telemetry(tele, shared.telemetry);
             unflushed = 0;
         }
     };
     cell.flush(shared.sink);
-    flush_telemetry(tele, shared.sinks);
+    flush_telemetry(tele, shared.telemetry);
     drained
 }
 

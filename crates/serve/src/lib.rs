@@ -79,6 +79,4 @@ pub use elastic::{PoolTrace, ScalerConfig};
 pub use fabric::{shard_for_key, AdmitOutcome, Directory, ShardRing, StripedBucket};
 pub use loadgen::{ArrivalProcess, KeyDist, LoadGen, Request};
 pub use metrics::{percentile_ns, CellFlusher, CellSink, CellSnapshot, SOJOURN_BUCKETS};
-pub use service::{
-    run_cell, run_cell_as, CellConfig, CellResult, Dispatch, Pool, ServeSinks, Workload,
-};
+pub use service::{run_cell, run_cell_as, CellConfig, CellResult, Dispatch, Pool, Workload};

@@ -3,16 +3,16 @@
 //! A serving cell reports a block of numbers that must be mutually
 //! consistent — sojourn-time histogram buckets, admitted/shed/completed
 //! (and, for the sharded fabric, steal/refill) counts — and the repo's
-//! rule (ISSUE 3) is that *no reported block may come from a racy sum*.
-//! So the cell's aggregate state is one [`WideVar`] of [`CELL_WORDS`]
-//! words: [`SOJOURN_BUCKETS`] log-linear latency buckets followed by the
-//! five counters. Producers and workers accumulate privately in a
-//! [`CellFlusher`] and publish deltas with a WLL → add → SC loop;
-//! [`CellSink::snapshot`] reads the whole block with a **single WLL**, so
-//! by Theorem 4 every snapshot is a state the cell actually passed
-//! through — `admitted + shed` can never be caught mid-update, and the
-//! histogram total can never disagree with the count of sojourns
-//! recorded at a flush boundary.
+//! rule is that *no reported block may come from a racy sum*. So the
+//! cell's aggregate state is one [`WideSum`] of [`CELL_WORDS`] words:
+//! [`SOJOURN_BUCKETS`] log-linear latency buckets followed by the five
+//! counters. Producers and workers accumulate privately in a
+//! [`CellFlusher`] and publish whole deltas through the accumulator's
+//! WLL → add → SC loop; [`CellSink::snapshot`] reads the whole block with
+//! a **single WLL**, so by Theorem 4 every snapshot is a state the cell
+//! actually passed through — `admitted + shed` can never be caught
+//! mid-update, and the histogram total can never disagree with the count
+//! of sojourns recorded at a flush boundary.
 //!
 //! Latency is bucketed in **log-linear** *virtual nanoseconds* (HDR
 //! style): each power-of-two octave is divided into [`SUB_PER_OCTAVE`]
@@ -27,9 +27,7 @@
 //! deterministic pure function of the bucket counts (which a seeded run
 //! makes byte-identical across hosts).
 
-use nbsp_core::wide::{WideDomain, WideKeep, WideVar};
-use nbsp_core::{Backoff, Native, Result};
-use nbsp_memsim::ProcId;
+use nbsp_core::{Result, WideSum};
 
 /// log2 of the linear sub-buckets per octave.
 pub const SUB_BITS: u32 = 4;
@@ -61,9 +59,6 @@ const W_SHED: usize = SOJOURN_BUCKETS + 1;
 const W_COMPLETED: usize = SOJOURN_BUCKETS + 2;
 const W_STEALS: usize = SOJOURN_BUCKETS + 3;
 const W_REFILLS: usize = SOJOURN_BUCKETS + 4;
-
-/// 16 tag bits leave 48-bit counts — ample for any run.
-const TAG_BITS: u32 = 16;
 
 /// The log-linear bucket a sojourn time falls into: values below
 /// [`SUB_PER_OCTAVE`] are their own bucket; a value in octave
@@ -170,7 +165,7 @@ impl CellSnapshot {
 /// The cell's aggregate block: a [`CELL_WORDS`]-word Figure-6 variable.
 #[derive(Debug)]
 pub struct CellSink {
-    var: WideVar<Native>,
+    sum: WideSum<CELL_WORDS>,
 }
 
 impl CellSink {
@@ -183,37 +178,9 @@ impl CellSink {
     /// Propagates [`nbsp_core::Error::InvalidDomain`] for
     /// `max_procs == 0`.
     pub fn new(max_procs: usize) -> Result<Self> {
-        let domain = WideDomain::<Native>::new(max_procs, CELL_WORDS, TAG_BITS)?;
-        let var = domain.var(&[0u64; CELL_WORDS])?;
-        Ok(CellSink { var })
-    }
-
-    /// Atomically folds a flat delta into the block, as flushing slot
-    /// `slot`. WLL → add → SC, retried until the SC lands (lock-free: a
-    /// retry implies another flush succeeded).
-    fn add(&self, slot: usize, delta: &[u64; CELL_WORDS]) {
-        let mem = Native;
-        let pid = ProcId::new(slot % self.var.domain().n());
-        let mut keep = WideKeep::default();
-        let mut buf = [0u64; CELL_WORDS];
-        let max = self.var.domain().max_val();
-        let mut backoff = Backoff::new();
-        loop {
-            if !self.var.wll(&mem, &mut keep, &mut buf).is_success() {
-                backoff.spin();
-                continue;
-            }
-            let mut new = [0u64; CELL_WORDS];
-            for i in 0..CELL_WORDS {
-                // Saturate rather than wrap into the tag bits (unreachable
-                // at 48 bits per word in any real run).
-                new[i] = (buf[i] + delta[i]).min(max);
-            }
-            if self.var.sc(&mem, pid, &keep, &new) {
-                return;
-            }
-            backoff.spin();
-        }
+        Ok(CellSink {
+            sum: WideSum::new(max_procs)?,
+        })
     }
 
     /// One consistent reading of the block: a **single WLL** (retried on
@@ -221,11 +188,9 @@ impl CellSink {
     /// linearization point (Theorem 4).
     #[must_use]
     pub fn snapshot(&self) -> CellSnapshot {
-        let v = self.var.read(&Native);
-        let mut sojourn_ns = [0u64; SOJOURN_BUCKETS];
-        sojourn_ns.copy_from_slice(&v[..SOJOURN_BUCKETS]);
+        let v = self.sum.read();
         CellSnapshot {
-            sojourn_ns,
+            sojourn_ns: std::array::from_fn(|b| v[b]),
             admitted: v[W_ADMITTED],
             shed: v[W_SHED],
             completed: v[W_COMPLETED],
@@ -238,10 +203,12 @@ impl CellSink {
 /// Private accumulation for one producing/working thread, flushed into a
 /// [`CellSink`] in whole-delta units.
 ///
-/// Unlike `nbsp_telemetry::Flusher` this does not diff a shared matrix
-/// row — the counts live in the struct itself — so it is immune to
-/// telemetry-slot sharing and its flushes are exactly the values this
-/// thread recorded, which is what makes seeded runs byte-identical.
+/// Unlike `nbsp_telemetry::Flusher`, which diffs the thread's row of the
+/// telemetry matrix, this keeps its counts in the struct itself: its
+/// flushes are exactly the values this thread recorded through it and
+/// nothing else the thread did, which is what makes seeded runs
+/// byte-identical. Its slot is the caller's (a worker index), not a
+/// telemetry slot.
 #[derive(Debug)]
 pub struct CellFlusher {
     local: [u64; CELL_WORDS],
@@ -296,7 +263,7 @@ impl CellFlusher {
         if self.local.iter().all(|&v| v == 0) {
             return false;
         }
-        sink.add(self.slot, &self.local);
+        sink.sum.add(self.slot, &self.local);
         self.local = [0; CELL_WORDS];
         true
     }

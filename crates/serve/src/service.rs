@@ -37,7 +37,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nbsp_core::provider::Fig4Native;
-use nbsp_core::{with_provider, Provider, ProviderId, WideHists, WideTotals};
+use nbsp_core::{with_provider, Provider, ProviderId, WideTotals};
 use nbsp_memsim::ProcId;
 use nbsp_structures::stm_orec::OrecStm;
 use nbsp_structures::{ordmap_capacity, Counter, OrdMap, Queue, Stack};
@@ -217,44 +217,20 @@ pub struct CellResult {
     pub pool: PoolTrace,
 }
 
-/// Run-level consistent telemetry sinks: per-event totals and histogram
-/// buckets, each one Figure-6 variable, shared by every cell of a sweep.
-/// Workers flush into them; the report reads each with a single WLL.
-#[derive(Debug)]
-pub struct ServeSinks {
-    /// Aggregated event totals (`WideVar` of `EVENT_COUNT` words).
-    pub events: WideTotals,
-    /// Aggregated histogram buckets (`WideVar` of all buckets).
-    pub hists: WideHists,
-}
-
-impl ServeSinks {
-    /// Sinks sized for every possible telemetry slot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates wide-variable construction errors (none in practice).
-    pub fn new() -> nbsp_core::Result<Self> {
-        Ok(ServeSinks {
-            events: WideTotals::with_all_slots()?,
-            hists: WideHists::with_all_slots()?,
-        })
-    }
-}
-
 /// Runs one cell with its coordination words (ring cursors, directory,
 /// admission stripes) on the registry's Figure-4 native entry.
 ///
-/// When `sinks` is provided, the producer and every worker also flush
-/// their `nbsp-telemetry` rows into it (periodically and at exit), so the
-/// caller can publish a run-level telemetry block read via the WLL path.
+/// When `telemetry` is provided, the producer and every worker also
+/// flush their `nbsp-telemetry` rows into it (periodically and at exit),
+/// so the caller can publish a run-level telemetry block read with one
+/// WLL. One [`WideTotals`] can serve every cell of a sweep.
 ///
 /// # Panics
 ///
 /// As [`run_cell_as`].
 #[must_use]
-pub fn run_cell(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
-    run_cell_on::<Fig4Native>(cfg, sinks)
+pub fn run_cell(cfg: &CellConfig, telemetry: Option<&WideTotals>) -> CellResult {
+    run_cell_on::<Fig4Native>(cfg, telemetry)
 }
 
 /// Runs one cell with its coordination words on the given registry
@@ -276,11 +252,11 @@ pub fn run_cell(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
 pub fn run_cell_as(
     provider: ProviderId,
     cfg: &CellConfig,
-    sinks: Option<&ServeSinks>,
+    telemetry: Option<&WideTotals>,
 ) -> CellResult {
     macro_rules! run_as {
         ($p:ty) => {
-            run_cell_on::<$p>(cfg, sinks)
+            run_cell_on::<$p>(cfg, telemetry)
         };
     }
     with_provider!(provider, run_as)
@@ -288,7 +264,7 @@ pub fn run_cell_as(
 
 /// The monomorphized cell body: builds the workload structure and its
 /// per-worker op closures, runs the pipeline, checks the result.
-fn run_cell_on<P: Provider>(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> CellResult {
+fn run_cell_on<P: Provider>(cfg: &CellConfig, telemetry: Option<&WideTotals>) -> CellResult {
     let (min, max) = cfg.pool.bounds();
     assert!(min >= 1, "need at least one active worker");
     assert!(min <= max, "the pool's floor must not exceed its ceiling");
@@ -314,7 +290,7 @@ fn run_cell_on<P: Provider>(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> Cel
     let pool = match cfg.workload {
         Workload::Counter => {
             let c = Counter::new(Fig4Native::var(&env, 0).unwrap());
-            drive::<P, _>(cfg, &sink, sinks, |slot| {
+            drive::<P, _>(cfg, &sink, telemetry, |slot| {
                 let c = &c;
                 let mut tc = Fig4Native::thread_ctx(&env, slot);
                 move |_key| {
@@ -329,7 +305,7 @@ fn run_cell_on<P: Provider>(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> Cel
                 Fig4Native::var(&env, 0).unwrap(),
                 &mut setup,
             );
-            drive::<P, _>(cfg, &sink, sinks, |slot| {
+            drive::<P, _>(cfg, &sink, telemetry, |slot| {
                 let st = &st;
                 let mut tc = Fig4Native::thread_ctx(&env, slot);
                 let v = slot as u64;
@@ -346,7 +322,7 @@ fn run_cell_on<P: Provider>(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> Cel
                 || Fig4Native::var(&env, 0).unwrap(),
                 &mut setup,
             );
-            drive::<P, _>(cfg, &sink, sinks, |slot| {
+            drive::<P, _>(cfg, &sink, telemetry, |slot| {
                 let q = &q;
                 let mut tc = Fig4Native::thread_ctx(&env, slot);
                 let v = slot as u64;
@@ -359,7 +335,7 @@ fn run_cell_on<P: Provider>(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> Cel
         }
         Workload::Stm => {
             let stm = OrecStm::new(&[0; 4]);
-            drive::<P, _>(cfg, &sink, sinks, |slot| {
+            drive::<P, _>(cfg, &sink, telemetry, |slot| {
                 let stm = &stm;
                 let p = ProcId::new(slot);
                 move |_key| {
@@ -372,7 +348,7 @@ fn run_cell_on<P: Provider>(cfg: &CellConfig, sinks: Option<&ServeSinks>) -> Cel
         }
         Workload::OrdMap { .. } => {
             let mc = MapCell::new(max, cfg.requests, cfg.seed);
-            let pool = drive::<P, _>(cfg, &sink, sinks, |slot| mc.op(slot));
+            let pool = drive::<P, _>(cfg, &sink, telemetry, |slot| mc.op(slot));
             mc.assert_conserved();
             pool
         }

@@ -1,5 +1,5 @@
 //! Log2-bucket histograms, recorded with the same wait-free per-slot
-//! discipline as the event counters.
+//! discipline as the event counters — in the same rows, after them.
 //!
 //! Two fixed histograms cover the stack's two interesting distributions:
 //! how many attempts a lock-free operation needed before its SC landed
@@ -7,9 +7,8 @@
 //! ([`Hist::BackoffDepth`]). Log2 buckets because both distributions are
 //! heavy-tailed under contention: the tail, not the mean, is the signal.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::registry::{bump, MAX_SLOTS};
+use crate::event::EVENT_COUNT;
+use crate::registry::{bump, racy_sum};
 
 /// Number of buckets per histogram. Bucket 0 holds the value 0, bucket
 /// `b >= 1` holds values in `[2^(b-1), 2^b)`, and the last bucket also
@@ -44,23 +43,6 @@ impl Hist {
     }
 }
 
-#[repr(align(128))]
-struct HistRow {
-    buckets: [[AtomicU64; HIST_BUCKETS]; HIST_COUNT],
-}
-
-impl HistRow {
-    const fn new() -> Self {
-        HistRow {
-            buckets: [const { [const { AtomicU64::new(0) }; HIST_BUCKETS] }; HIST_COUNT],
-        }
-    }
-}
-
-/// One row per leasable slot plus the overflow row, like the counter
-/// matrix.
-static HIST_MATRIX: [HistRow; MAX_SLOTS + 1] = [const { HistRow::new() }; MAX_SLOTS + 1];
-
 /// The log2 bucket a value falls into.
 #[must_use]
 pub fn bucket_of(value: u64) -> usize {
@@ -86,39 +68,33 @@ pub fn bucket_label(b: usize) -> String {
     }
 }
 
+/// Index of bucket `bucket` of `hist` in a counter-matrix row (and in a
+/// consistent sink's snapshot, which has the same layout): histograms
+/// follow the [`EVENT_COUNT`] event counters, `HIST_BUCKETS` words each.
+#[must_use]
+pub const fn hist_word(hist: Hist, bucket: usize) -> usize {
+    EVENT_COUNT + hist as usize * HIST_BUCKETS + bucket
+}
+
+/// The buckets of `hist` out of a row-layout snapshot (see
+/// [`crate::ROW_WORDS`]).
+#[must_use]
+pub fn hist_of(row: &[u64; crate::ROW_WORDS], hist: Hist) -> [u64; HIST_BUCKETS] {
+    std::array::from_fn(|b| row[hist_word(hist, b)])
+}
+
 /// The wait-free path behind [`crate::observe`].
 #[inline]
 #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 pub(crate) fn observe_impl(hist: Hist, value: u64) {
-    bump(1, |row| &HIST_MATRIX[row].buckets[hist as usize][bucket_of(value)]);
-}
-
-/// The bucket counts of one row's histograms (`slot <= MAX_SLOTS`, see
-/// [`crate::record_row`]): exact for the row's own thread — leased rows
-/// are single-writer — and the baseline a [`crate::HistFlusher`] diffs
-/// against.
-#[must_use]
-pub fn slot_buckets(slot: usize) -> [[u64; HIST_BUCKETS]; HIST_COUNT] {
-    let mut out = [[0u64; HIST_BUCKETS]; HIST_COUNT];
-    for (h, row) in out.iter_mut().enumerate() {
-        for (b, c) in HIST_MATRIX[slot].buckets[h].iter().enumerate() {
-            row[b] = c.load(Ordering::Relaxed);
-        }
-    }
-    out
+    bump(hist_word(hist, bucket_of(value)), 1);
 }
 
 /// Racy bucket totals for one histogram (sums over all slots; same
 /// monotonicity contract as [`crate::racy_totals`]).
 #[must_use]
 pub fn histogram(hist: Hist) -> [u64; HIST_BUCKETS] {
-    let mut out = [0u64; HIST_BUCKETS];
-    for row in &HIST_MATRIX {
-        for (i, c) in row.buckets[hist as usize].iter().enumerate() {
-            out[i] += c.load(Ordering::Relaxed);
-        }
-    }
-    out
+    racy_sum(hist_word(hist, 0))
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //!   ([`Hist::Retries`], [`Hist::BackoffDepth`]);
 //! * [`racy_totals`]/[`histogram`] are the cheap racy readers;
 //! * [`Flusher`] + [`AtomicTotals`] give *consistent* (non-torn)
-//!   snapshots by publishing per-thread deltas atomically — the
-//!   Figure-6-backed sink implementation is `nbsp_core::telemetry::WideTotals`.
+//!   snapshots by publishing each thread's whole-row delta (events and
+//!   histogram buckets together) atomically — the Figure-6-backed sink
+//!   implementation is `nbsp_core::telemetry::WideTotals`.
 //!
 //! With the `telemetry` cargo feature disabled, [`record`], [`record_n`]
 //! and [`observe`] are empty `#[inline]` functions and the subsystem
@@ -33,10 +34,11 @@ pub mod registry;
 pub mod snapshot;
 
 pub use event::{Event, EVENT_COUNT};
-pub use hist::{bucket_label, bucket_of, histogram, Hist, HIST_BUCKETS, HIST_COUNT};
-pub use hist::slot_buckets;
-pub use registry::{racy_totals, record_row, slot_counts, thread_slot, MAX_SLOTS};
-pub use snapshot::{AtomicHists, AtomicTotals, Flusher, HistFlusher, HistState};
+pub use hist::{
+    bucket_label, bucket_of, hist_of, hist_word, histogram, Hist, HIST_BUCKETS, HIST_COUNT,
+};
+pub use registry::{racy_totals, record_row, slot_counts, thread_slot, MAX_SLOTS, ROW_WORDS};
+pub use snapshot::{AtomicTotals, Flusher};
 
 /// Whether telemetry recording is compiled in.
 ///

@@ -1,5 +1,7 @@
 //! The wait-free counter matrix: one cache-padded row of relaxed
-//! `AtomicU64`s per process (thread slot), one column per [`Event`].
+//! `AtomicU64`s per process (thread slot). A row holds the [`Event`]
+//! counters followed by every histogram's buckets ([`ROW_WORDS`] words),
+//! so one row is the whole of what a thread has recorded.
 //!
 //! The paper's constructions give each process a private announce slot so
 //! that the hot path never contends; the counter matrix copies that shape.
@@ -19,6 +21,13 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::event::{Event, EVENT_COUNT};
+use crate::hist::{HIST_BUCKETS, HIST_COUNT};
+
+/// Words in one row: the [`EVENT_COUNT`] event counters (indexed by
+/// [`Event::index`]), then `HIST_COUNT` histograms of `HIST_BUCKETS`
+/// buckets each (indexed by [`crate::hist_word`]). A consistent sink
+/// holds the same layout, so one snapshot covers events and histograms.
+pub const ROW_WORDS: usize = EVENT_COUNT + HIST_COUNT * HIST_BUCKETS;
 
 /// Number of leasable rows in the counter matrix, and the number of
 /// Figure-6 process ids [`thread_slot`] hands out. A thread leases a row
@@ -36,17 +45,17 @@ pub const MAX_SLOTS: usize = 64;
 /// every thread that found all [`MAX_SLOTS`] rows held.
 const OVERFLOW: usize = MAX_SLOTS;
 
-/// One process's event counters, padded to (a pair of) cache lines so
-/// neighbouring recorders never invalidate each other.
+/// One process's counters and buckets, padded to (a pair of) cache lines
+/// so neighbouring recorders never invalidate each other.
 #[repr(align(128))]
 struct Row {
-    counts: [AtomicU64; EVENT_COUNT],
+    words: [AtomicU64; ROW_WORDS],
 }
 
 impl Row {
     const fn new() -> Self {
         Row {
-            counts: [const { AtomicU64::new(0) }; EVENT_COUNT],
+            words: [const { AtomicU64::new(0) }; ROW_WORDS],
         }
     }
 }
@@ -152,17 +161,17 @@ pub fn record_row() -> usize {
     }
 }
 
-/// Adds `n` to the counter `pick` selects in the calling thread's row.
-/// A leased row has one writer, so a relaxed load and store is exact
-/// there and keeps the counter monotonic for racy readers; only the
-/// shared overflow row needs the locked `fetch_add`. Relaxed is enough —
-/// counters carry no payload to publish, and every reader is specified
-/// as racy or goes through a [`crate::snapshot::AtomicTotals`]
-/// publication instead.
+/// Adds `n` to word `word` of the calling thread's row. A leased row has
+/// one writer, so a relaxed load and store is exact there and keeps the
+/// counter monotonic for racy readers; only the shared overflow row needs
+/// the locked `fetch_add`. Relaxed is enough — counters carry no payload
+/// to publish, and every reader is specified as racy or goes through a
+/// [`crate::snapshot::AtomicTotals`] publication instead.
 #[inline]
-pub(crate) fn bump(n: u64, pick: impl FnOnce(usize) -> &'static AtomicU64) {
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+pub(crate) fn bump(word: usize, n: u64) {
     let row = record_row();
-    let c = pick(row);
+    let c = &MATRIX[row].words[word];
     if row < OVERFLOW {
         c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
     } else {
@@ -174,17 +183,36 @@ pub(crate) fn bump(n: u64, pick: impl FnOnce(usize) -> &'static AtomicU64) {
 #[inline]
 #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 pub(crate) fn add(event: Event, n: u64) {
-    bump(n, |row| &MATRIX[row].counts[event.index()]);
+    bump(event.index(), n);
 }
 
-/// Snapshot of one row (`slot <= MAX_SLOTS`; see [`record_row`]). Exact
-/// for the row's owner (single writer); for other rows, and for the
-/// overflow row, it is a racy read like [`racy_totals`].
+/// Snapshot of one whole row (`slot <= MAX_SLOTS`; see [`record_row`]):
+/// exact for the row's owner (single writer) — the baseline a
+/// [`crate::Flusher`] diffs against; for other rows, and for the overflow
+/// row, a racy read like [`racy_totals`].
+#[must_use]
+pub(crate) fn slot_row(slot: usize) -> [u64; ROW_WORDS] {
+    MATRIX[slot]
+        .words
+        .each_ref()
+        .map(|c| c.load(Ordering::Relaxed))
+}
+
+/// The event counters of one row (`slot <= MAX_SLOTS`; see
+/// [`record_row`]): exact for the row's owner (single writer), a racy
+/// read like [`racy_totals`] otherwise.
 #[must_use]
 pub fn slot_counts(slot: usize) -> [u64; EVENT_COUNT] {
-    let mut out = [0u64; EVENT_COUNT];
-    for (i, c) in MATRIX[slot].counts.iter().enumerate() {
-        out[i] = c.load(Ordering::Relaxed);
+    std::array::from_fn(|i| MATRIX[slot].words[i].load(Ordering::Relaxed))
+}
+
+/// Racy sums over every row of the `N` words starting at `first`.
+pub(crate) fn racy_sum<const N: usize>(first: usize) -> [u64; N] {
+    let mut out = [0u64; N];
+    for row in &MATRIX {
+        for (o, c) in out.iter_mut().zip(&row.words[first..first + N]) {
+            *o += c.load(Ordering::Relaxed);
+        }
     }
     out
 }
@@ -200,13 +228,7 @@ pub fn slot_counts(slot: usize) -> [u64; EVENT_COUNT] {
 /// the Figure-6-backed consistent reader.
 #[must_use]
 pub fn racy_totals() -> [u64; EVENT_COUNT] {
-    let mut out = [0u64; EVENT_COUNT];
-    for row in &MATRIX {
-        for (i, c) in row.counts.iter().enumerate() {
-            out[i] += c.load(Ordering::Relaxed);
-        }
-    }
-    out
+    racy_sum(0)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! worker threads.
 
 use nbsp::serve::{
-    run_cell, AdmissionConfig, ArrivalProcess, CellConfig, CellResult, Dispatch, Pool, ServeSinks,
+    run_cell, AdmissionConfig, ArrivalProcess, CellConfig, CellResult, Dispatch, Pool,
     TokenBucket, Workload,
 };
 
@@ -116,15 +116,15 @@ fn admission_on_beats_admission_off_at_overload() {
 #[test]
 fn telemetry_sinks_see_every_admission_decision_exactly_once() {
     // With the feature on, serve_admit + serve_shed flushed into the
-    // run-level sinks must equal the generated count exactly (every
+    // run-level sink must equal the generated count exactly (every
     // recording thread leases a telemetry row of its own, so each row is
     // published by one flusher); with the feature off the sink stays
     // all-zero.
-    let sinks = ServeSinks::new().unwrap();
+    let sink = nbsp::core::WideTotals::with_all_slots().unwrap();
     let c = cfg(2.4e6, Workload::Counter, overload_admission());
-    let r = run_cell(&c, Some(&sinks));
+    let r = run_cell(&c, Some(&sink));
     use nbsp::telemetry::{AtomicTotals, Event};
-    let totals = sinks.events.totals();
+    let totals = sink.totals();
     let decided = totals[Event::ServeAdmit.index()] + totals[Event::ServeShed.index()];
     if nbsp::telemetry::enabled() {
         assert_eq!(decided, c.requests);

@@ -1,5 +1,6 @@
-//! Real-thread stress test for the telemetry snapshot pair: the racy
-//! matrix-sum reader versus the Figure-6-backed consistent reader.
+//! Real-thread stress tests for the telemetry snapshot pair: the racy
+//! matrix-sum reader versus the Figure-6-backed consistent reader, whose
+//! one WLL covers event counters and histogram buckets together.
 //!
 //! Writer threads maintain a cross-event invariant — every batch adds the
 //! same amount to `TagAlloc` and `RscSpurious` — and flush at batch
@@ -23,7 +24,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use nbsp::core::WideTotals;
-use nbsp::telemetry::{racy_totals, record_n, AtomicTotals, Event, Flusher};
+use nbsp::telemetry::{
+    hist_of, observe, racy_totals, record, record_n, AtomicTotals, Event, Flusher, Hist, ROW_WORDS,
+};
 
 const WRITERS: usize = 4;
 const BATCHES: u64 = 5_000;
@@ -38,7 +41,7 @@ fn atomic_snapshots_are_never_torn_and_exact_at_quiescence() {
     // could have recorded already; work in deltas from a baseline.
     let base_atomic = sink.totals();
     let base_racy = racy_totals();
-    assert_eq!(base_atomic, [0; nbsp::telemetry::EVENT_COUNT]);
+    assert_eq!(base_atomic, [0; ROW_WORDS]);
 
     let racy_tears = std::thread::scope(|s| {
         for _ in 0..WRITERS {
@@ -57,7 +60,7 @@ fn atomic_snapshots_are_never_torn_and_exact_at_quiescence() {
 
         s.spawn(|| {
             let mut tears = 0u64;
-            let mut prev = [0u64; nbsp::telemetry::EVENT_COUNT];
+            let mut prev = [0u64; ROW_WORDS];
             let ta = Event::TagAlloc.index();
             let rs = Event::RscSpurious.index();
             while !stop.load(Ordering::Relaxed) {
@@ -70,7 +73,7 @@ fn atomic_snapshots_are_never_torn_and_exact_at_quiescence() {
                 for i in 0..got.len() {
                     assert!(
                         got[i] >= prev[i],
-                        "non-monotonic atomic snapshot at event {i}: {got:?} < {prev:?}"
+                        "non-monotonic atomic snapshot at word {i}: {got:?} < {prev:?}"
                     );
                 }
                 prev = got;
@@ -118,4 +121,54 @@ fn unflushed_counts_are_invisible_to_the_atomic_reader() {
     assert_eq!(sink.totals()[Event::HelpGiven.index()], 0, "not flushed yet");
     assert!(flusher.flush(&sink));
     assert_eq!(sink.totals()[Event::HelpGiven.index()], 9);
+}
+
+#[test]
+fn events_and_histograms_arrive_together() {
+    // Each flush carries one `ScxAbort` event and one `Retries`
+    // observation. The flush path records neither (its WLL/SC loop
+    // records ScSuccess/ScFail/LlRestart and help events, its backoff
+    // observes BackoffDepth), and no LLX/SCX or structure code runs in
+    // this binary, so the racy totals the first test checks stay apart.
+    // In every snapshot of the sink the event total must equal the
+    // histogram's bucket sum: one WLL returns both.
+    const FLUSHES: u64 = 3_000;
+    let sink = WideTotals::with_all_slots().expect("sink construction");
+    let stop = AtomicBool::new(false);
+    let snapshots = std::thread::scope(|s| {
+        for w in 0..WRITERS as u64 {
+            let (sink, stop) = (&sink, &stop);
+            s.spawn(move || {
+                let mut flusher = Flusher::new();
+                for i in 0..FLUSHES {
+                    record(Event::ScxAbort);
+                    // Spread the observations over several buckets.
+                    observe(Hist::Retries, (w + i) % 64);
+                    flusher.flush(sink);
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+        }
+        s.spawn(|| {
+            let mut snapshots = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let got = sink.totals();
+                let observed: u64 = hist_of(&got, Hist::Retries).iter().sum();
+                assert_eq!(
+                    got[Event::ScxAbort.index()],
+                    observed,
+                    "event and histogram from different flushes: {got:?}"
+                );
+                snapshots += 1;
+            }
+            snapshots
+        })
+        .join()
+        .unwrap()
+    });
+    let fin = sink.totals();
+    let expected = WRITERS as u64 * FLUSHES;
+    assert_eq!(fin[Event::ScxAbort.index()], expected);
+    assert_eq!(hist_of(&fin, Hist::Retries).iter().sum::<u64>(), expected);
+    println!("consistent snapshots taken: {snapshots}");
 }
