@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn quick_sweep_passes_all_gates() {
         let r = collect(true);
-        assert_eq!(r.rows.len(), 13, "every registry entry is swept");
+        assert_eq!(r.rows.len(), 11, "every registry entry is swept");
         enforce(&r);
         let json = to_json(&r);
         assert!(json.contains("\"schema_version\": 1"));

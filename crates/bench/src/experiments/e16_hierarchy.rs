@@ -565,7 +565,7 @@ mod tests {
     #[test]
     fn quick_matrix_passes_all_gates() {
         let r = collect(4_000, true);
-        assert_eq!(r.listing.len(), 13, "every registry entry is listed");
+        assert_eq!(r.listing.len(), 11, "every registry entry is listed");
         assert_eq!(r.stamps.len(), WEAK.len());
         // The deterministic verdicts only: the wall-clock `ordering` ones
         // flip when other tests share the host, and stay enforced by
@@ -575,7 +575,7 @@ mod tests {
         }
         let json = to_json(&r);
         assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("\"provider_count\": 13"));
+        assert!(json.contains("\"provider_count\": 11"));
         assert!(json.contains("\"cas-from-swap\""));
         assert!(json.contains("\"feb-llsc\""));
     }

@@ -1,5 +1,5 @@
 //! The figure certificates: DPOR over the shipped Figure 3, 5, 6 and 7
-//! types.
+//! types and the two keep-search ablations.
 //!
 //! The paper defers its linearizability proofs to a full version. These
 //! certificates stand in for them on small configurations: each one runs
@@ -15,6 +15,14 @@
 //! | 5 | [`RllLlSc`] on an RLL/RSC-only machine | [`LlScSpec`] |
 //! | 6 | [`WideVar<Native>`](nbsp_core::wide::WideVar), W = 2 | [`LlScSpec`] over encoded values |
 //! | 7 | [`BoundedVar<Native>`](nbsp_core::bounded::BoundedVar), N = k = 2 | [`LlScSpec`], one process per (process, slot) |
+//! | E8 | [`PerVarKeepVar`] | [`LlScSpec`] |
+//! | E8 | [`RegistryKeepVar`] over a fresh [`KeepRegistry`] | [`LlScSpec`] |
+//!
+//! The keep-search ablations keep one link per (process, variable), which
+//! is exactly the specification's per-process `valid[p]`, so they run
+//! through their inherent `ll(p)`/`vl(p)`/`sc(p, v)` API. They are not
+//! [`LlScVar`](nbsp_core::LlScVar)s, so the provider sweep cannot reach
+//! them; their certificates run the sweep's three programs.
 //!
 //! Two encodings make the non-scalar figures fit the Figure-2 vocabulary:
 //!
@@ -39,6 +47,7 @@
 //! `nbsp_core::bounded`.)
 
 use nbsp_core::bounded::{BoundedDomain, BoundedKeep};
+use nbsp_core::keep_search::{KeepRegistry, PerVarKeepVar, RegistryKeepVar};
 use nbsp_core::wide::{WideDomain, WideKeep};
 use nbsp_core::{EmuCasWord, Keep, Native, RllLlSc, TagLayout};
 use nbsp_linearize::{CasSpec, Completed, LlScSpec, Op, Ret, SeqSpec};
@@ -77,6 +86,15 @@ pub enum SlotOp {
     Sc(usize, u64),
 }
 
+/// Which keep-search ablation a [`Subject::KeepSearch`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeepSearch {
+    /// [`PerVarKeepVar`]: a keep array in each variable.
+    PerVar,
+    /// [`RegistryKeepVar`]: a shared (process, variable) registry.
+    Registry,
+}
+
 /// The shipped type a certificate runs, with its initial value and one
 /// plan per process.
 #[derive(Clone, Debug)]
@@ -113,6 +131,64 @@ pub enum Subject {
         /// Operations per process (at most [`FIG7_N`] plans).
         plans: Vec<Vec<SlotOp>>,
     },
+    /// A keep-search ablation with a half/half tag layout. Every plan
+    /// opens with an LL: neither ablation defines VL or SC before one.
+    KeepSearch {
+        /// The ablation.
+        via: KeepSearch,
+        /// Initial value.
+        initial: u64,
+        /// Figure-2 operations per process.
+        plans: Vec<Vec<PlanOp>>,
+    },
+}
+
+/// The per-process interface both keep-search ablations expose.
+trait Linked: Sync {
+    fn ll(&self, p: ProcId) -> u64;
+    fn vl(&self, p: ProcId) -> bool;
+    fn sc(&self, p: ProcId, new: u64) -> bool;
+    fn read(&self) -> u64;
+}
+
+impl Linked for PerVarKeepVar {
+    fn ll(&self, p: ProcId) -> u64 {
+        PerVarKeepVar::ll(self, p)
+    }
+    fn vl(&self, p: ProcId) -> bool {
+        PerVarKeepVar::vl(self, p)
+    }
+    fn sc(&self, p: ProcId, new: u64) -> bool {
+        PerVarKeepVar::sc(self, p, new)
+    }
+    fn read(&self) -> u64 {
+        PerVarKeepVar::read(self)
+    }
+}
+
+impl Linked for RegistryKeepVar {
+    fn ll(&self, p: ProcId) -> u64 {
+        RegistryKeepVar::ll(self, p)
+    }
+    fn vl(&self, p: ProcId) -> bool {
+        RegistryKeepVar::vl(self, p)
+    }
+    fn sc(&self, p: ProcId, new: u64) -> bool {
+        RegistryKeepVar::sc(self, p, new)
+    }
+    fn read(&self) -> u64 {
+        RegistryKeepVar::read(self)
+    }
+}
+
+/// The specification operation a plan step performs.
+fn spec_op(op: PlanOp) -> Op {
+    match op {
+        PlanOp::Ll => Op::Ll,
+        PlanOp::Vl => Op::Vl,
+        PlanOp::Sc(x) => Op::Sc(x),
+        PlanOp::Read => Op::Read,
+    }
 }
 
 /// A named program over one shipped type, with the verdict it must get.
@@ -173,6 +249,31 @@ where
     run_controlled(prefix, frontier, bodies)
 }
 
+/// Runs one worker per plan over a keep-search ablation, process `p`
+/// issuing its plan as `p`.
+fn run_linked<V: Linked>(
+    prefix: &[(usize, Decision)],
+    frontier: &[SleepEntry],
+    plans: &[Vec<PlanOp>],
+    var: &V,
+) -> ExecOutcome {
+    run_plans(prefix, frontier, plans, |p, plan| {
+        move |ctl: &WorkerCtl| {
+            let proc = ProcId::new(p);
+            for &op in plan {
+                timed(ctl, p, spec_op(op), || {
+                    Some(match op {
+                        PlanOp::Ll => Ret::Value(var.ll(proc)),
+                        PlanOp::Vl => Ret::Bool(var.vl(proc)),
+                        PlanOp::Sc(x) => Ret::Bool(var.sc(proc, x)),
+                        PlanOp::Read => Ret::Value(var.read()),
+                    })
+                });
+            }
+        }
+    })
+}
+
 fn rll_machine(n: usize) -> Machine {
     Machine::builder(n)
         .instruction_set(InstructionSet::RllRscOnly)
@@ -200,6 +301,7 @@ impl Certificate {
             Subject::Fig5 { plans, .. } => plans.len(),
             Subject::Fig6 { plans, .. } => plans.len(),
             Subject::Fig7 { plans, .. } => plans.len(),
+            Subject::KeepSearch { plans, .. } => plans.len(),
         }
     }
 
@@ -246,13 +348,7 @@ impl Certificate {
                     move |ctl: &WorkerCtl| {
                         let mut keep = Keep::default();
                         for &op in plan {
-                            let spec_op = match op {
-                                PlanOp::Ll => Op::Ll,
-                                PlanOp::Vl => Op::Vl,
-                                PlanOp::Sc(x) => Op::Sc(x),
-                                PlanOp::Read => Op::Read,
-                            };
-                            timed(ctl, p, spec_op, || {
+                            timed(ctl, p, spec_op(op), || {
                                 Some(match op {
                                     PlanOp::Ll => Ret::Value(var.ll(&proc, &mut keep)),
                                     PlanOp::Vl => Ret::Bool(var.vl(&proc, &keep)),
@@ -312,6 +408,23 @@ impl Certificate {
                     }
                 })
             }
+            Subject::KeepSearch {
+                via,
+                initial,
+                plans,
+            } => {
+                let (n, layout) = (plans.len(), TagLayout::half());
+                match via {
+                    KeepSearch::PerVar => {
+                        let var = PerVarKeepVar::new(n, layout, *initial);
+                        run_linked(prefix, frontier, plans, &var.expect("initial fits"))
+                    }
+                    KeepSearch::Registry => {
+                        let var = RegistryKeepVar::new(&KeepRegistry::new(), n, layout, *initial);
+                        run_linked(prefix, frontier, plans, &var.expect("initial fits"))
+                    }
+                }
+            }
         }
     }
 
@@ -348,6 +461,9 @@ impl Certificate {
             }
             Subject::Fig7 { initial, .. } => {
                 self.explore_against(LlScSpec::new(FIG7_N * FIG7_K, *initial), max_executions)
+            }
+            Subject::KeepSearch { initial, plans, .. } => {
+                self.explore_against(LlScSpec::new(plans.len(), *initial), max_executions)
             }
         }
     }
@@ -482,6 +598,37 @@ pub fn certificates() -> Vec<Certificate> {
         },
         0,
     ));
+    // The provider sweep's three programs (E13's c1–c3), with the same
+    // spurious budgets; neither ablation issues an RSC.
+    let ll_sc = |v| vec![PlanOp::Ll, PlanOp::Sc(v)];
+    let programs = [
+        ("c1-2p-ll.sc-spurious1", vec![ll_sc(1), ll_sc(2)], 1),
+        (
+            "c2-2p-mixed",
+            vec![
+                vec![PlanOp::Ll, PlanOp::Vl, PlanOp::Sc(1)],
+                vec![PlanOp::Ll, PlanOp::Sc(2), PlanOp::Read],
+            ],
+            0,
+        ),
+        ("c3-3p-ll.sc", vec![ll_sc(1), ll_sc(2), ll_sc(3)], 0),
+    ];
+    for (via, label) in [
+        (KeepSearch::PerVar, "keep-pervar"),
+        (KeepSearch::Registry, "keep-registry"),
+    ] {
+        certs.extend(programs.iter().map(|(name, plans, spurious)| {
+            Certificate::new(
+                format!("{label}-{name}"),
+                Subject::KeepSearch {
+                    via,
+                    initial: 0,
+                    plans: plans.clone(),
+                },
+                *spurious,
+            )
+        }));
+    }
     certs
 }
 

@@ -140,6 +140,7 @@ impl<const TAG_BITS: u32> EmuFamily<TAG_BITS> {
 
 impl<const TAG_BITS: u32> CasFamily for EmuFamily<TAG_BITS> {
     type Cell = SimWord;
+    type Mem<'a> = EmuCas<'a, TAG_BITS>;
     const VALUE_BITS: u32 = 64 - TAG_BITS;
 
     fn make_cell(value: u64) -> SimWord {

@@ -240,6 +240,7 @@ pub struct KwFamily;
 
 impl CasFamily for KwFamily {
     type Cell = KwWord;
+    type Mem<'a> = KwCas<'a>;
     const VALUE_BITS: u32 = KW_VALUE_BITS;
 
     fn make_cell(value: u64) -> KwWord {

@@ -52,6 +52,11 @@ pub trait CasFamily {
     /// in-word tag).
     const VALUE_BITS: u32;
 
+    /// The per-thread accessor that operates on this family's cells; it is
+    /// the [`LlScVar`](crate::LlScVar) context of a Figure-4 variable over
+    /// the family.
+    type Mem<'a>: CasMemory<Family = Self>;
+
     /// Creates a cell holding `value`.
     ///
     /// # Panics
@@ -248,6 +253,7 @@ pub struct Native;
 
 impl CasFamily for Native {
     type Cell = AtomicU64;
+    type Mem<'a> = Native;
     const VALUE_BITS: u32 = 64;
 
     #[inline]
@@ -387,6 +393,7 @@ pub struct SimFamily;
 
 impl CasFamily for SimFamily {
     type Cell = SimWord;
+    type Mem<'a> = SimCas<'a>;
     const VALUE_BITS: u32 = 64;
 
     #[inline]

@@ -246,6 +246,7 @@ pub struct FebFamily;
 
 impl CasFamily for FebFamily {
     type Cell = FebWord;
+    type Mem<'a> = FebCas<'a>;
     const VALUE_BITS: u32 = FEB_VALUE_BITS;
 
     fn make_cell(value: u64) -> FebWord {

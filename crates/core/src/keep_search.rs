@@ -19,7 +19,18 @@
 //!   warns about; it exists here purely as a measured baseline.
 //!
 //! Both use the same tag discipline as Figure 4; only the *association
-//! mechanism* differs, which is exactly the variable E8 isolates.
+//! mechanism* differs, which is exactly the variable E8 isolates (E3
+//! charts the per-variable array's space).
+//!
+//! **Deliberately not [`LlScVar`](crate::LlScVar)s.** One kept word per
+//! (process, variable) is Figure 2's one link per process: a process's
+//! second `ll` on a variable replaces its first, so the two cannot be
+//! independent sequences, which the trait's contract requires. E3 and E8
+//! call the inherent `ll(p)`/`vl(p)`/`sc(p, v)` directly, and the type
+//! system keeps the ablations out of everything built on the trait, the
+//! registry and multi-word LLX/SCX included. Their own correctness is
+//! checked as what they are: `nbsp_check`'s certificates run them under
+//! DPOR against Figure 2's per-process specification.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

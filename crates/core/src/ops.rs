@@ -1,28 +1,30 @@
 //! A uniform interface over every LL/VL/SC implementation in this crate.
 //!
 //! The data structures in `nbsp-structures` and the benchmark harness need
-//! to run the *same* algorithm over Figure 4, Figure 5, Figure 7, the lock
-//! baseline and the keep-search ablations. [`LlScVar`] abstracts the
-//! variable; its associated `Ctx` type carries whatever per-thread state the
-//! implementation requires (nothing for native atomics, a simulated
-//! [`Processor`](nbsp_memsim::Processor) for RLL/RSC-based variants, the
-//! private slot/queue state for the bounded construction, a bare
-//! [`ProcId`] for the baselines).
+//! to run the *same* algorithm over Figure 4, Figure 5, Figure 7 and the
+//! lock baseline. [`LlScVar`] abstracts the variable; its associated `Ctx`
+//! type carries whatever per-thread state the implementation requires
+//! (nothing for native atomics, a simulated
+//! [`Processor`](nbsp_memsim::Processor) or CAS accessor for the
+//! simulated and emulated machines, the private slot/queue state for the
+//! bounded construction, a bare [`ProcId`] for the lock baseline).
 //!
-//! The generic `Keep` is an `Option`-like state machine: `ll` begins a
-//! sequence (silently aborting any previous one held by the same keep,
-//! releasing its resources), `sc` finishes it, `cl` aborts it.
+//! The `Keep` is the caller-held word of the paper's interface change:
+//! `Default` means "no sequence", `ll` begins a sequence (silently
+//! aborting any previous one held by the same keep, releasing its
+//! resources), and `sc` and `cl` finish it, leaving the keep at its
+//! default. For Figure 4 and Figure 5 that is their own [`Keep`], whose
+//! default holds no word. The keep-search ablations
+//! ([`keep_search`](crate::keep_search)) keep one link per (process,
+//! variable) instead, so they do not implement the trait (see
+//! [`LlScVar`]).
 
 use nbsp_memsim::{ProcId, Processor};
 
 use crate::bounded::{BoundedKeep, BoundedProc, BoundedVar};
 use crate::constant_llsc::{ConstantKeep, ConstantProc, ConstantVar};
-use crate::keep_search::{PerVarKeepVar, RegistryKeepVar};
 use crate::lock_baseline::LockLlSc;
-use crate::{
-    CasLlSc, EmuCas, EmuFamily, FebCas, FebFamily, Keep, KwCas, KwFamily, Native, RllLlSc,
-    SimCas, SimFamily,
-};
+use crate::{CasFamily, CasLlSc, Keep, Native, RllLlSc};
 
 /// A shared variable supporting LL/VL/SC, usable from many threads, with
 /// per-thread context `Ctx` and per-sequence state `Keep`.
@@ -31,6 +33,16 @@ use crate::{
 /// `false` / nothing — mirroring hardware, where SC without LL simply
 /// fails. (The paper leaves this case undefined; total behaviour is easier
 /// to compose generically.)
+///
+/// **Independent keeps.** Every keep is its own LL–SC sequence: an `ll`
+/// on one keep leaves every other open keep on the same variable exactly
+/// as it was. The paper's caller-held keeps (Figure 4 and everything
+/// built like it) have this property. A construction that stores one
+/// link per (process, variable) does not: a second `ll` by the same
+/// process revalidates the first sequence, whose `sc` can then commit
+/// against a stale read. Such constructions (the E3/E8 keep-search
+/// ablations) do not implement this trait, so multi-word LLX/SCX, which
+/// holds several keeps on one word at once, cannot be built over them.
 ///
 /// ```
 /// use nbsp_core::{CasLlSc, LlScVar, Native, TagLayout};
@@ -78,182 +90,39 @@ pub trait LlScVar: Send + Sync {
 
     /// Largest value this variable can store.
     fn max_val(&self) -> u64;
-
-    /// Whether every keep is an independent LL–SC sequence: an `ll` on
-    /// one keep leaves every other open keep on the same variable exactly
-    /// as it was. The paper's caller-held keeps (Figure 4 and everything
-    /// built like it) have this property. A construction that stores one
-    /// reservation per (process, variable) does not: a second `ll` by the
-    /// same process revalidates the first sequence, whose `sc` can then
-    /// commit against a stale read. Multi-word LLX/SCX holds several keeps
-    /// on one word at once, so `nbsp-llx` refuses variables without it.
-    const INDEPENDENT_KEEPS: bool = true;
 }
 
 // ---------------------------------------------------------------------------
-// Figure 4 over native CAS.
+// Figure 4 over any CAS family.
 // ---------------------------------------------------------------------------
 
-impl LlScVar for CasLlSc<Native> {
-    type Keep = Option<Keep>;
-    type Ctx<'a> = Native;
+/// One impl for every family: native CAS, the simulated CAS machine,
+/// Figure 3's emulation, and the swap/fetch-and-add and NB-FEB CASes. The
+/// context is the family's accessor ([`CasFamily::Mem`]).
+impl<F: CasFamily> LlScVar for CasLlSc<F> {
+    type Keep = Keep;
+    type Ctx<'a>
+        = F::Mem<'a>
+    where
+        Self: 'a;
 
-    fn ll(&self, _ctx: &mut Native, keep: &mut Option<Keep>) -> u64 {
-        let k = keep.get_or_insert_with(Keep::default);
-        CasLlSc::ll(self, &Native, k)
+    fn ll(&self, ctx: &mut F::Mem<'_>, keep: &mut Keep) -> u64 {
+        CasLlSc::ll(self, ctx, keep)
     }
 
-    fn vl(&self, _ctx: &mut Native, keep: &Option<Keep>) -> bool {
-        keep.as_ref().is_some_and(|k| CasLlSc::vl(self, &Native, k))
+    fn vl(&self, ctx: &mut F::Mem<'_>, keep: &Keep) -> bool {
+        CasLlSc::vl(self, ctx, keep)
     }
 
-    fn sc(&self, _ctx: &mut Native, keep: &mut Option<Keep>, new: u64) -> bool {
-        keep.take()
-            .is_some_and(|k| CasLlSc::sc(self, &Native, &k, new))
+    fn sc(&self, ctx: &mut F::Mem<'_>, keep: &mut Keep, new: u64) -> bool {
+        CasLlSc::sc(self, ctx, &std::mem::take(keep), new)
     }
 
-    fn cl(&self, _ctx: &mut Native, keep: &mut Option<Keep>) {
-        *keep = None;
+    fn cl(&self, _ctx: &mut F::Mem<'_>, keep: &mut Keep) {
+        *keep = Keep::default();
     }
 
-    fn read(&self, _ctx: &mut Native) -> u64 {
-        CasLlSc::read(self, &Native)
-    }
-
-    fn max_val(&self) -> u64 {
-        self.layout().max_val()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4 over a simulated CAS-only machine.
-// ---------------------------------------------------------------------------
-
-impl LlScVar for CasLlSc<SimFamily> {
-    type Keep = Option<Keep>;
-    type Ctx<'a> = SimCas<'a>;
-
-    fn ll(&self, ctx: &mut SimCas<'_>, keep: &mut Option<Keep>) -> u64 {
-        let k = keep.get_or_insert_with(Keep::default);
-        CasLlSc::ll(self, ctx, k)
-    }
-
-    fn vl(&self, ctx: &mut SimCas<'_>, keep: &Option<Keep>) -> bool {
-        keep.as_ref().is_some_and(|k| CasLlSc::vl(self, ctx, k))
-    }
-
-    fn sc(&self, ctx: &mut SimCas<'_>, keep: &mut Option<Keep>, new: u64) -> bool {
-        keep.take().is_some_and(|k| CasLlSc::sc(self, ctx, &k, new))
-    }
-
-    fn cl(&self, _ctx: &mut SimCas<'_>, keep: &mut Option<Keep>) {
-        *keep = None;
-    }
-
-    fn read(&self, ctx: &mut SimCas<'_>) -> u64 {
-        CasLlSc::read(self, ctx)
-    }
-
-    fn max_val(&self) -> u64 {
-        self.layout().max_val()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4 over Figure 3 (the full stack on an RLL/RSC-only machine).
-// ---------------------------------------------------------------------------
-
-impl<const TAG_BITS: u32> LlScVar for CasLlSc<EmuFamily<TAG_BITS>> {
-    type Keep = Option<Keep>;
-    type Ctx<'a> = EmuCas<'a, TAG_BITS>;
-
-    fn ll(&self, ctx: &mut EmuCas<'_, TAG_BITS>, keep: &mut Option<Keep>) -> u64 {
-        let k = keep.get_or_insert_with(Keep::default);
-        CasLlSc::ll(self, ctx, k)
-    }
-
-    fn vl(&self, ctx: &mut EmuCas<'_, TAG_BITS>, keep: &Option<Keep>) -> bool {
-        keep.as_ref().is_some_and(|k| CasLlSc::vl(self, ctx, k))
-    }
-
-    fn sc(&self, ctx: &mut EmuCas<'_, TAG_BITS>, keep: &mut Option<Keep>, new: u64) -> bool {
-        keep.take().is_some_and(|k| CasLlSc::sc(self, ctx, &k, new))
-    }
-
-    fn cl(&self, _ctx: &mut EmuCas<'_, TAG_BITS>, keep: &mut Option<Keep>) {
-        *keep = None;
-    }
-
-    fn read(&self, ctx: &mut EmuCas<'_, TAG_BITS>) -> u64 {
-        CasLlSc::read(self, ctx)
-    }
-
-    fn max_val(&self) -> u64 {
-        self.layout().max_val()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4 over the Khanchandani–Wattenhofer CAS (swap + fetch-and-add
-// hardware — consensus number two).
-// ---------------------------------------------------------------------------
-
-impl LlScVar for CasLlSc<KwFamily> {
-    type Keep = Option<Keep>;
-    type Ctx<'a> = KwCas<'a>;
-
-    fn ll(&self, ctx: &mut KwCas<'_>, keep: &mut Option<Keep>) -> u64 {
-        let k = keep.get_or_insert_with(Keep::default);
-        CasLlSc::ll(self, ctx, k)
-    }
-
-    fn vl(&self, ctx: &mut KwCas<'_>, keep: &Option<Keep>) -> bool {
-        keep.as_ref().is_some_and(|k| CasLlSc::vl(self, ctx, k))
-    }
-
-    fn sc(&self, ctx: &mut KwCas<'_>, keep: &mut Option<Keep>, new: u64) -> bool {
-        keep.take().is_some_and(|k| CasLlSc::sc(self, ctx, &k, new))
-    }
-
-    fn cl(&self, _ctx: &mut KwCas<'_>, keep: &mut Option<Keep>) {
-        *keep = None;
-    }
-
-    fn read(&self, ctx: &mut KwCas<'_>) -> u64 {
-        CasLlSc::read(self, ctx)
-    }
-
-    fn max_val(&self) -> u64 {
-        self.layout().max_val()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4 over the NB-FEB CAS (test-flag-and-set hardware).
-// ---------------------------------------------------------------------------
-
-impl LlScVar for CasLlSc<FebFamily> {
-    type Keep = Option<Keep>;
-    type Ctx<'a> = FebCas<'a>;
-
-    fn ll(&self, ctx: &mut FebCas<'_>, keep: &mut Option<Keep>) -> u64 {
-        let k = keep.get_or_insert_with(Keep::default);
-        CasLlSc::ll(self, ctx, k)
-    }
-
-    fn vl(&self, ctx: &mut FebCas<'_>, keep: &Option<Keep>) -> bool {
-        keep.as_ref().is_some_and(|k| CasLlSc::vl(self, ctx, k))
-    }
-
-    fn sc(&self, ctx: &mut FebCas<'_>, keep: &mut Option<Keep>, new: u64) -> bool {
-        keep.take().is_some_and(|k| CasLlSc::sc(self, ctx, &k, new))
-    }
-
-    fn cl(&self, _ctx: &mut FebCas<'_>, keep: &mut Option<Keep>) {
-        *keep = None;
-    }
-
-    fn read(&self, ctx: &mut FebCas<'_>) -> u64 {
+    fn read(&self, ctx: &mut F::Mem<'_>) -> u64 {
         CasLlSc::read(self, ctx)
     }
 
@@ -267,24 +136,23 @@ impl LlScVar for CasLlSc<FebFamily> {
 // ---------------------------------------------------------------------------
 
 impl LlScVar for RllLlSc {
-    type Keep = Option<Keep>;
+    type Keep = Keep;
     type Ctx<'a> = &'a Processor;
 
-    fn ll(&self, ctx: &mut &Processor, keep: &mut Option<Keep>) -> u64 {
-        let k = keep.get_or_insert_with(Keep::default);
-        RllLlSc::ll(self, ctx, k)
+    fn ll(&self, ctx: &mut &Processor, keep: &mut Keep) -> u64 {
+        RllLlSc::ll(self, ctx, keep)
     }
 
-    fn vl(&self, ctx: &mut &Processor, keep: &Option<Keep>) -> bool {
-        keep.as_ref().is_some_and(|k| RllLlSc::vl(self, ctx, k))
+    fn vl(&self, ctx: &mut &Processor, keep: &Keep) -> bool {
+        RllLlSc::vl(self, ctx, keep)
     }
 
-    fn sc(&self, ctx: &mut &Processor, keep: &mut Option<Keep>, new: u64) -> bool {
-        keep.take().is_some_and(|k| RllLlSc::sc(self, ctx, &k, new))
+    fn sc(&self, ctx: &mut &Processor, keep: &mut Keep, new: u64) -> bool {
+        RllLlSc::sc(self, ctx, &std::mem::take(keep), new)
     }
 
-    fn cl(&self, _ctx: &mut &Processor, keep: &mut Option<Keep>) {
-        *keep = None;
+    fn cl(&self, _ctx: &mut &Processor, keep: &mut Keep) {
+        *keep = Keep::default();
     }
 
     fn read(&self, ctx: &mut &Processor) -> u64 {
@@ -417,81 +285,6 @@ impl LlScVar for LockLlSc {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Keep-search ablations.
-// ---------------------------------------------------------------------------
-
-/// The keep is implicit in the variable (a per-process keep slot); the
-/// generic keep only tracks whether a sequence was started, to keep
-/// `vl`/`sc` total.
-impl LlScVar for PerVarKeepVar {
-    type Keep = bool;
-    type Ctx<'a> = ProcId;
-
-    /// One kept word per (process, variable): a process's second `ll`
-    /// overwrites the word its first sequence kept.
-    const INDEPENDENT_KEEPS: bool = false;
-
-    fn ll(&self, ctx: &mut ProcId, keep: &mut bool) -> u64 {
-        *keep = true;
-        PerVarKeepVar::ll(self, *ctx)
-    }
-
-    fn vl(&self, ctx: &mut ProcId, keep: &bool) -> bool {
-        *keep && PerVarKeepVar::vl(self, *ctx)
-    }
-
-    fn sc(&self, ctx: &mut ProcId, keep: &mut bool, new: u64) -> bool {
-        std::mem::take(keep) && PerVarKeepVar::sc(self, *ctx, new)
-    }
-
-    fn cl(&self, _ctx: &mut ProcId, keep: &mut bool) {
-        *keep = false;
-    }
-
-    fn read(&self, _ctx: &mut ProcId) -> u64 {
-        PerVarKeepVar::read(self)
-    }
-
-    fn max_val(&self) -> u64 {
-        crate::TagLayout::half().max_val()
-    }
-}
-
-impl LlScVar for RegistryKeepVar {
-    type Keep = bool;
-    type Ctx<'a> = ProcId;
-
-    /// One kept word per (process, variable): a process's second `ll`
-    /// overwrites the word its first sequence kept.
-    const INDEPENDENT_KEEPS: bool = false;
-
-    fn ll(&self, ctx: &mut ProcId, keep: &mut bool) -> u64 {
-        *keep = true;
-        RegistryKeepVar::ll(self, *ctx)
-    }
-
-    fn vl(&self, ctx: &mut ProcId, keep: &bool) -> bool {
-        *keep && RegistryKeepVar::vl(self, *ctx)
-    }
-
-    fn sc(&self, ctx: &mut ProcId, keep: &mut bool, new: u64) -> bool {
-        std::mem::take(keep) && RegistryKeepVar::sc(self, *ctx, new)
-    }
-
-    fn cl(&self, _ctx: &mut ProcId, keep: &mut bool) {
-        *keep = false;
-    }
-
-    fn read(&self, _ctx: &mut ProcId) -> u64 {
-        RegistryKeepVar::read(self)
-    }
-
-    fn max_val(&self) -> u64 {
-        crate::TagLayout::half().max_val()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,20 +351,6 @@ mod tests {
         let mut ctx = ProcId::new(1);
         increment_n_times(&v, &mut ctx, 100);
         assert_eq!(LlScVar::read(&v, &mut ctx), 100);
-    }
-
-    #[test]
-    fn generic_loop_on_keep_search_variants() {
-        let v = PerVarKeepVar::new(2, TagLayout::half(), 0).unwrap();
-        let mut ctx = ProcId::new(0);
-        increment_n_times(&v, &mut ctx, 50);
-        assert_eq!(LlScVar::read(&v, &mut ctx), 50);
-
-        let r = crate::keep_search::KeepRegistry::new();
-        let v = RegistryKeepVar::new(&r, 2, TagLayout::half(), 0).unwrap();
-        let mut ctx = ProcId::new(0);
-        increment_n_times(&v, &mut ctx, 50);
-        assert_eq!(LlScVar::read(&v, &mut ctx), 50);
     }
 
     #[test]

@@ -46,7 +46,6 @@ use nbsp_memsim::{PWord, VWord};
 use crate::bounded::{BoundedDomain, BoundedProc, BoundedVar, QueuePolicy};
 use crate::constant_llsc::{ConstantDomain, ConstantProc, ConstantVar};
 use crate::dynamic_llsc::{DynProc, DynamicDomain, DynamicVar};
-use crate::keep_search::{KeepRegistry, PerVarKeepVar, RegistryKeepVar};
 use crate::lock_baseline::LockLlSc;
 use crate::{
     CasFamily, CasLlSc, CasMemory, EmuCas, EmuFamily, Error, FebCas, FebFamily, Keep, KwCas,
@@ -118,10 +117,6 @@ pub enum ProviderId {
     ConstantTime,
     /// Figure 2: the lock-based reference semantics.
     LockBaseline,
-    /// Keep-search ablation: per-variable keep slots.
-    KeepPerVar,
-    /// Keep-search ablation: registry-wide keep search.
-    KeepWithRegistry,
     /// Writable LL/SC with dynamic joining (arXiv:2302.00135), volatile.
     Dynamic,
     /// The dynamic-joining construction over the persistent-memory model
@@ -137,7 +132,7 @@ pub enum ProviderId {
 
 impl ProviderId {
     /// Every registered construction, in registry order.
-    pub const ALL: [ProviderId; 13] = [
+    pub const ALL: [ProviderId; 11] = [
         ProviderId::Fig4Native,
         ProviderId::Fig4Sim,
         ProviderId::Fig4Emu,
@@ -145,8 +140,6 @@ impl ProviderId {
         ProviderId::Fig7Bounded,
         ProviderId::ConstantTime,
         ProviderId::LockBaseline,
-        ProviderId::KeepPerVar,
-        ProviderId::KeepWithRegistry,
         ProviderId::Dynamic,
         ProviderId::DynamicDurable,
         ProviderId::CasFromSwap,
@@ -219,18 +212,6 @@ impl ProviderId {
             ProviderId::LockBaseline => ProviderMeta {
                 id: self,
                 name: "lock",
-                capability: Capability::CAS,
-                tier: Tier::FixedN,
-            },
-            ProviderId::KeepPerVar => ProviderMeta {
-                id: self,
-                name: "keep-pervar",
-                capability: Capability::CAS,
-                tier: Tier::FixedN,
-            },
-            ProviderId::KeepWithRegistry => ProviderMeta {
-                id: self,
-                name: "keep-registry",
                 capability: Capability::CAS,
                 tier: Tier::FixedN,
             },
@@ -488,28 +469,26 @@ where
     O: CasMemory<Family = Native> + Send + Sync + 'static,
     L: Borrow<CasLlSc<Native>> + Send + Sync,
 {
-    type Keep = Option<Keep>;
+    type Keep = Keep;
     type Ctx<'a>
         = O
     where
         Self: 'a;
 
-    fn ll(&self, ctx: &mut O, keep: &mut Option<Keep>) -> u64 {
-        let k = keep.get_or_insert_with(Keep::default);
-        self.var.borrow().ll(ctx, k)
+    fn ll(&self, ctx: &mut O, keep: &mut Keep) -> u64 {
+        self.var.borrow().ll(ctx, keep)
     }
 
-    fn vl(&self, ctx: &mut O, keep: &Option<Keep>) -> bool {
-        keep.as_ref().is_some_and(|k| self.var.borrow().vl(ctx, k))
+    fn vl(&self, ctx: &mut O, keep: &Keep) -> bool {
+        self.var.borrow().vl(ctx, keep)
     }
 
-    fn sc(&self, ctx: &mut O, keep: &mut Option<Keep>, new: u64) -> bool {
-        keep.take()
-            .is_some_and(|k| self.var.borrow().sc(ctx, &k, new))
+    fn sc(&self, ctx: &mut O, keep: &mut Keep, new: u64) -> bool {
+        self.var.borrow().sc(ctx, &std::mem::take(keep), new)
     }
 
-    fn cl(&self, _ctx: &mut O, keep: &mut Option<Keep>) {
-        *keep = None;
+    fn cl(&self, _ctx: &mut O, keep: &mut Keep) {
+        *keep = Keep::default();
     }
 
     fn read(&self, ctx: &mut O) -> u64 {
@@ -738,62 +717,6 @@ impl Provider for LockBaseline {
     }
 }
 
-/// Keep-search ablation: per-variable keep slots.
-#[derive(Debug)]
-pub struct KeepPerVar;
-
-impl Provider for KeepPerVar {
-    const ID: ProviderId = ProviderId::KeepPerVar;
-    type Var = PerVarKeepVar;
-    type Env = usize;
-    type ThreadCtx = ProcId;
-
-    fn env(n: usize) -> Result<usize> {
-        Ok(n)
-    }
-
-    fn var(env: &usize, initial: u64) -> Result<PerVarKeepVar> {
-        PerVarKeepVar::new(*env, TagLayout::half(), initial)
-    }
-
-    fn try_thread_ctx(env: &usize, p: usize) -> Result<ProcId> {
-        check_pid(*env, p)?;
-        Ok(ProcId::new(p))
-    }
-
-    fn ctx(tc: &mut ProcId) -> ProcId {
-        *tc
-    }
-}
-
-/// Keep-search ablation: registry-wide keep search.
-#[derive(Debug)]
-pub struct KeepWithRegistry;
-
-impl Provider for KeepWithRegistry {
-    const ID: ProviderId = ProviderId::KeepWithRegistry;
-    type Var = RegistryKeepVar;
-    type Env = (usize, Arc<KeepRegistry>);
-    type ThreadCtx = ProcId;
-
-    fn env(n: usize) -> Result<(usize, Arc<KeepRegistry>)> {
-        Ok((n, KeepRegistry::new()))
-    }
-
-    fn var(env: &(usize, Arc<KeepRegistry>), initial: u64) -> Result<RegistryKeepVar> {
-        RegistryKeepVar::new(&env.1, env.0, TagLayout::half(), initial)
-    }
-
-    fn try_thread_ctx(env: &(usize, Arc<KeepRegistry>), p: usize) -> Result<ProcId> {
-        check_pid(env.0, p)?;
-        Ok(ProcId::new(p))
-    }
-
-    fn ctx(tc: &mut ProcId) -> ProcId {
-        *tc
-    }
-}
-
 /// Writable LL/SC with dynamic joining (arXiv:2302.00135), volatile
 /// words: the provider whose process set grows and shrinks at runtime.
 #[derive(Debug)]
@@ -963,8 +886,6 @@ macro_rules! for_each_provider {
         $body!(fig7_bounded, $crate::provider::Fig7Bounded);
         $body!(constant_time, $crate::provider::ConstantTime);
         $body!(lock_baseline, $crate::provider::LockBaseline);
-        $body!(keep_pervar, $crate::provider::KeepPerVar);
-        $body!(keep_with_registry, $crate::provider::KeepWithRegistry);
         $body!(dynamic, $crate::provider::Dynamic);
         $body!(dynamic_durable, $crate::provider::DynamicDurable);
         $body!(cas_from_swap, $crate::provider::CasFromSwap);
@@ -1001,8 +922,6 @@ macro_rules! with_provider {
             $crate::ProviderId::Fig7Bounded => $body!($crate::provider::Fig7Bounded),
             $crate::ProviderId::ConstantTime => $body!($crate::provider::ConstantTime),
             $crate::ProviderId::LockBaseline => $body!($crate::provider::LockBaseline),
-            $crate::ProviderId::KeepPerVar => $body!($crate::provider::KeepPerVar),
-            $crate::ProviderId::KeepWithRegistry => $body!($crate::provider::KeepWithRegistry),
             $crate::ProviderId::Dynamic => $body!($crate::provider::Dynamic),
             $crate::ProviderId::DynamicDurable => $body!($crate::provider::DynamicDurable),
             $crate::ProviderId::CasFromSwap => $body!($crate::provider::CasFromSwap),

@@ -86,10 +86,15 @@ impl<const W: usize> WideSum<W> {
 
     /// One WLL (retried on interference): a W-word atomic snapshot by
     /// Theorem 4 — every word is from the same linearization point.
+    /// Allocation-free, like [`add`](WideSum::add): the WLL writes
+    /// straight into the returned array.
     #[must_use]
     pub fn read(&self) -> [u64; W] {
-        let v = self.var.read(&Native);
-        v.try_into().expect("the variable is W words wide")
+        let mut keep = WideKeep::default();
+        let mut buf = [0u64; W];
+        // nbsp-flow: allow(keep-leak) — pure read: the successful WLL is the consumer; a WideKeep claims no slot, so dropping it is free
+        while !self.var.wll(&Native, &mut keep, &mut buf).is_success() {}
+        buf
     }
 
     /// The underlying wide variable's domain (for audits and tests).

@@ -66,8 +66,11 @@
 //! paper's caller-held keeps are: a provider that keeps one reservation
 //! per (process, variable) lets the helper's `ll` silently revalidate the
 //! owner's stale keep, and the owner's fast-path SC then freezes a record
-//! that moved. [`LlxDomain`] checks [`LlScVar::INDEPENDENT_KEEPS`] at
-//! construction and refuses such providers.
+//! that moved. [`LlScVar`]'s contract requires independent keeps, and
+//! the constructions that keep one link per (process, variable), the
+//! keep-search ablations of `nbsp_core::keep_search`, do not implement
+//! it, so an [`LlxDomain`] over one does not compile (see
+//! [`LlxDomain::new`]).
 //!
 //! ## Per-process record allocation
 //!
@@ -485,13 +488,33 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
     /// `ctx` is any operation context (used only to zero-initialize, the
     /// construction is single-threaded).
     ///
+    /// Every [`LlScVar`] has independent keeps (module docs), which the
+    /// type system enforces: a per-(process, variable) keep-search
+    /// ablation is no `LlScVar`, so a domain over it does not compile.
+    ///
+    /// ```
+    /// use nbsp_core::{CasLlSc, Native, TagLayout};
+    /// use nbsp_llx::LlxDomain;
+    ///
+    /// let make = || CasLlSc::new_native(TagLayout::half(), 0).unwrap();
+    /// let _d = LlxDomain::<_, 1, 0>::new(1, 2, make, &mut Native);
+    /// ```
+    ///
+    /// ```compile_fail,E0277
+    /// use nbsp_core::keep_search::PerVarKeepVar;
+    /// use nbsp_core::TagLayout;
+    /// use nbsp_llx::LlxDomain;
+    /// use nbsp_memsim::ProcId;
+    ///
+    /// let make = || PerVarKeepVar::new(1, TagLayout::half(), 0).unwrap();
+    /// let _d = LlxDomain::<_, 1, 0>::new(1, 2, make, &mut ProcId::new(0));
+    /// ```
+    ///
     /// # Panics
     ///
-    /// Panics if the provider's keeps are not independent
-    /// ([`LlScVar::INDEPENDENT_KEEPS`], module docs) or the variable's
-    /// value width cannot fit the info layout (needs `9 + ⌈log₂(n+1)⌉`
-    /// bits plus at least 8 version bits), or if `capacity` exceeds
-    /// `u32::MAX` records.
+    /// Panics if the variable's value width cannot fit the info layout
+    /// (needs `9 + ⌈log₂(n+1)⌉` bits plus at least 8 version bits), or if
+    /// `capacity` exceeds `u32::MAX` records.
     #[must_use]
     pub fn new(
         n: usize,
@@ -530,11 +553,6 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
             );
         }
         assert!(n >= 1, "at least one process");
-        assert!(
-            V::INDEPENDENT_KEEPS,
-            "llx needs independent keeps: this provider keeps one LL-SC \
-             sequence per (process, variable)"
-        );
         assert!(
             u32::try_from(capacity).is_ok(),
             "llx record indices are 32-bit: capacity {capacity} is too large"

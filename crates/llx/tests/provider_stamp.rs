@@ -2,40 +2,14 @@
 //! exercising link/commit/abort/finalize, record allocation and reuse,
 //! plus a cross-thread conservation race, expanded per registry entry by
 //! `for_each_provider!` — a provider added to the registry gets
-//! multi-word coverage by construction. Providers without independent
-//! keeps must instead be refused at construction.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! multi-word coverage by construction.
 
 use nbsp_core::{for_each_provider, LlScVar, Provider};
 use nbsp_llx::{LlxDomain, LlxOutcome};
 
-/// Whether `P`'s keeps are independent; if not, asserts that building a
-/// domain over it is refused (help-on-read would revalidate a stale keep
-/// and break conservation).
-fn runs_llx<P: Provider>() -> bool {
-    if <P::Var as LlScVar>::INDEPENDENT_KEEPS {
-        return true;
-    }
-    let env = P::env(2).expect("provider env");
-    let mut tc0 = P::thread_ctx(&env, 0);
-    let mut ctx0 = P::ctx(&mut tc0);
-    let built = catch_unwind(AssertUnwindSafe(|| {
-        LlxDomain::<_, 1, 0>::new(2, 2, || P::var(&env, 0).expect("provider var"), &mut ctx0)
-    }));
-    assert!(
-        built.is_err(),
-        "llx must refuse per-(process, variable) keeps"
-    );
-    false
-}
-
 /// Single-threaded protocol walk, one provider: roundtrip commit,
 /// multi-record commit with finalization, conflict-forced abort, VLX.
 fn protocol<P: Provider>() {
-    if !runs_llx::<P>() {
-        return;
-    }
     let env = P::env(2).expect("provider env");
     let mut tc0 = P::thread_ctx(&env, 0);
     let mut ctx0 = P::ctx(&mut tc0);
@@ -94,9 +68,6 @@ fn fields_of<P: Provider>(
 /// non-zero word and the reverse) — every field must read back exactly,
 /// so a skipped store that would have changed a word shows.
 fn alloc_reinit<P: Provider>() {
-    if !runs_llx::<P>() {
-        return;
-    }
     let env = P::env(1).expect("provider env");
     let mut tc = P::thread_ctx(&env, 0);
     let mut ctx = P::ctx(&mut tc);
@@ -122,9 +93,6 @@ fn alloc_reinit<P: Provider>() {
 fn conservation<P: Provider>() {
     const THREADS: usize = 2;
     const ROUNDS: usize = 300;
-    if !runs_llx::<P>() {
-        return;
-    }
     let env = P::env(THREADS + 1).expect("provider env");
     let mut ctx_init_tc = P::thread_ctx(&env, THREADS);
     let mut ctx_init = P::ctx(&mut ctx_init_tc);

@@ -13,6 +13,9 @@
 //!   sequence validates and commits; a sequence whose variable changed
 //!   underneath (here: via a second context's committed SC) must fail
 //!   both VL and SC; CL abandons a sequence without poisoning the next.
+//!   Then the keep contract: on a default keep, after LL; CL, and after
+//!   a successful SC, VL is false, and SC (on the first two) is false
+//!   and writes nothing.
 //! * **wraparound** — thousands of sequential increments force tag/stamp
 //!   reuse in every bounded scheme (the registry's tag universes and
 //!   version pools are all far smaller than the iteration count); values
@@ -35,6 +38,11 @@
 //!   past capacity, and recycle retired slots into working contexts
 //!   with no increments lost.
 //!
+//! The keep-search ablations (`tests/keep_search`) keep one link per
+//! (process, variable) and implement no `LlScVar`; `for_each_keep_search!`
+//! stamps semantics, wraparound, linearization and keep_budget on their
+//! per-process API. They have no membership protocol, so no churn.
+//!
 //! The suite is feature-independent: CI's no-default-features matrix runs
 //! the same assertions with telemetry compiled out.
 
@@ -42,6 +50,12 @@ use nbsp_core::{for_each_provider, Error, LlScVar, Provider};
 
 #[macro_use]
 mod corners;
+#[macro_use]
+mod keep_search;
+
+use keep_search::Linked;
+use nbsp_core::provider::PROVIDER_K;
+use nbsp_memsim::ProcId;
 
 /// LL/VL/SC sequencing contract, one provider.
 fn semantics<P: Provider>() {
@@ -84,6 +98,24 @@ fn semantics<P: Provider>() {
     let v = var.ll(&mut ctx0, &mut keep);
     assert!(var.sc(&mut ctx0, &mut keep, v + 1), "SC after CL succeeds");
     assert_eq!(var.read(&mut ctx0), 10);
+
+    // The keep contract. A default keep holds no sequence: VL and SC fail
+    // and SC writes nothing, whatever word the variable holds.
+    let mut keep = <P::Var as LlScVar>::Keep::default();
+    assert!(!var.vl(&mut ctx0, &keep), "VL on a default keep");
+    assert!(!var.sc(&mut ctx0, &mut keep, 11), "SC on a default keep");
+    assert_eq!(var.read(&mut ctx0), 10, "SC on a default keep wrote");
+    // CL spends the keep: with no SC in between, a Figure-4 tag has not
+    // moved, so a keep CL failed to reset would still commit.
+    let _ = var.ll(&mut ctx0, &mut keep);
+    var.cl(&mut ctx0, &mut keep);
+    assert!(!var.vl(&mut ctx0, &keep), "VL after LL; CL");
+    assert!(!var.sc(&mut ctx0, &mut keep, 11), "SC after LL; CL");
+    assert_eq!(var.read(&mut ctx0), 10, "SC after LL; CL wrote");
+    // A successful SC consumes its sequence.
+    let v = var.ll(&mut ctx0, &mut keep);
+    assert!(var.sc(&mut ctx0, &mut keep, v + 1));
+    assert!(!var.vl(&mut ctx0, &keep), "VL after a successful SC");
 }
 
 /// Tag/stamp wraparound, one provider: enough sequential successful SCs
@@ -250,7 +282,6 @@ fn churn<P: Provider>() {
 /// nesting LLX/SCX reaches — see `provider.rs`'s sizing table), interleave
 /// a validation pass, then commit every one of them.
 fn keep_budget<P: Provider>() {
-    use nbsp_core::provider::PROVIDER_K;
     let env = P::env(1).expect("provider env");
     let vars: Vec<P::Var> = (0..PROVIDER_K)
         .map(|i| P::var(&env, i as u64).expect("provider var"))
@@ -282,7 +313,6 @@ fn keep_budget<P: Provider>() {
 /// slot arrays to exhaust; the CAS-keep families allocate keeps
 /// independently and have no such bound.)
 fn keep_exhaustion<P: Provider>() {
-    use nbsp_core::provider::PROVIDER_K;
     let env = P::env(1).expect("provider env");
     let vars: Vec<P::Var> = (0..=PROVIDER_K)
         .map(|_| P::var(&env, 0).expect("provider var"))
@@ -351,3 +381,130 @@ macro_rules! conformance {
 
 for_each_provider!(conformance);
 for_each_corner!(conformance);
+
+/// The four properties on a keep-search ablation's per-process API: the
+/// bodies above with a process id in place of a context and keep. A
+/// second LL by a process replaces its link, which is what CL-then-LL
+/// amounts to here.
+mod linked {
+    use super::{Linked, ProcId, PROVIDER_K};
+
+    pub fn semantics<V: Linked>() {
+        let var = V::build(3, 7);
+        let (p0, p1, p2) = (ProcId::new(0), ProcId::new(1), ProcId::new(2));
+        assert_eq!(var.ll(p0), 7, "LL reads initial value");
+        assert!(var.vl(p0), "undisturbed VL validates");
+        assert!(var.sc(p0, 8), "undisturbed SC succeeds");
+        assert_eq!(var.read(), 8, "committed value visible");
+
+        assert_eq!(var.ll(p1), 8);
+        let _ = var.ll(p2);
+        assert!(var.sc(p2, 9), "interfering SC commits");
+        assert!(!var.vl(p1), "VL must fail after interference");
+        assert!(!var.sc(p1, 10), "SC must fail after interference");
+        assert_eq!(var.read(), 9, "failed SC must not write");
+
+        let _ = var.ll(p0);
+        let v = var.ll(p0);
+        assert!(var.sc(p0, v + 1), "SC after a replaced link succeeds");
+        assert_eq!(var.read(), 10);
+    }
+
+    pub fn wraparound<V: Linked>() {
+        const OPS: u64 = 3_000;
+        const MASK: u64 = 0xFFFF;
+        let var = V::build(2, 0);
+        let p = ProcId::new(0);
+        for i in 0..OPS {
+            assert_eq!(var.ll(p), i & MASK, "value drift at op {i}");
+            assert!(var.sc(p, (i + 1) & MASK), "uncontended SC failed at op {i}");
+        }
+        assert_eq!(var.read(), OPS & MASK);
+    }
+
+    pub fn linearization<V: Linked>() {
+        const WRITERS: usize = 2;
+        const PER_WRITER: u64 = 2_000;
+        let var = V::build(WRITERS, 0);
+        std::thread::scope(|s| {
+            for t in 0..WRITERS {
+                let var = &var;
+                s.spawn(move || {
+                    let p = ProcId::new(t);
+                    for _ in 0..PER_WRITER {
+                        loop {
+                            let v = var.ll(p);
+                            if var.sc(p, v + 1) {
+                                break;
+                            }
+                        }
+                    }
+                });
+            }
+            let var = &var;
+            s.spawn(move || {
+                let mut prev = 0;
+                for _ in 0..1_000 {
+                    let v = var.read();
+                    assert!(v >= prev, "non-monotone read: {v} after {prev}");
+                    assert!(
+                        v <= WRITERS as u64 * PER_WRITER,
+                        "read beyond total increments: {v}"
+                    );
+                    prev = v;
+                }
+            });
+        });
+        assert_eq!(
+            var.read(),
+            WRITERS as u64 * PER_WRITER,
+            "lost updates: some SC falsely succeeded"
+        );
+    }
+
+    pub fn keep_budget<V: Linked>() {
+        let vars: Vec<V> = (0..PROVIDER_K).map(|i| V::build(1, i as u64)).collect();
+        let p = ProcId::new(0);
+        for (i, var) in vars.iter().enumerate() {
+            assert_eq!(var.ll(p), i as u64);
+        }
+        for var in &vars {
+            assert!(var.vl(p), "held link must still validate");
+        }
+        for (i, var) in vars.iter().enumerate() {
+            assert!(
+                var.sc(p, i as u64 + 100),
+                "link {i} of {PROVIDER_K} must commit"
+            );
+            assert_eq!(var.read(), i as u64 + 100);
+        }
+    }
+}
+
+macro_rules! keep_search_conformance {
+    ($name:ident, $ty:ty, $salt:expr) => {
+        mod $name {
+            #[test]
+            fn semantics() {
+                super::linked::semantics::<$ty>();
+            }
+
+            #[test]
+            fn keep_budget() {
+                super::linked::keep_budget::<$ty>();
+            }
+
+            #[test]
+            fn wraparound() {
+                super::linked::wraparound::<$ty>();
+            }
+
+            #[test]
+            fn linearization() {
+                super::linked::linearization::<$ty>();
+            }
+        }
+    };
+}
+
+for_each_keep_search!(keep_search_conformance);

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use nbsp::core::{for_each_provider, CasLlSc, LlScVar, Native, Provider, TagLayout};
+use nbsp::core::{for_each_provider, CasLlSc, Native, Provider, TagLayout};
 use nbsp::memsim::rng::SplitMix64;
 use nbsp::structures::{ordmap_capacity, OrdMap, Queue, Set, Stack};
 
@@ -115,10 +115,6 @@ fn set_matches_btreeset_model() {
 /// coverage for free. (Sized within the constant-time provider's
 /// per-domain variable budget: each record costs three LL/SC words.)
 fn ordmap_matches_btreemap<P: Provider>(seed: u64) {
-    if !<P::Var as LlScVar>::INDEPENDENT_KEEPS {
-        assert_map_refused::<P>();
-        return;
-    }
     const CASES: usize = 12;
     const OPS: usize = 36;
     let mut rng = SplitMix64::new(seed);
@@ -164,24 +160,6 @@ fn ordmap_matches_btreemap<P: Provider>(seed: u64) {
             "case {case}: range snapshot"
         );
     }
-}
-
-/// A provider with one kept word per (process, variable) cannot carry
-/// LLX's simultaneous keeps on one record: building the map must be
-/// refused, not left to lose updates.
-fn assert_map_refused<P: Provider>() {
-    let env = P::env(1).expect("provider env");
-    let mut tc = P::thread_ctx(&env, 0);
-    let mut ctx = P::ctx(&mut tc);
-    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        OrdMap::new(
-            1,
-            ordmap_capacity(1),
-            || P::var(&env, 0).expect("provider var"),
-            &mut ctx,
-        )
-    }));
-    assert!(built.is_err(), "the ordmap must refuse {}", P::ID.name());
 }
 
 macro_rules! ordmap_differential {

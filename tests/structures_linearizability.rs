@@ -5,7 +5,7 @@
 //! We don't take transitivity on faith; we check recorded histories of the
 //! *structures* directly.
 
-use nbsp::core::{for_each_provider, CasLlSc, LlScVar, Native, Provider, TagLayout};
+use nbsp::core::{for_each_provider, CasLlSc, Native, Provider, TagLayout};
 use nbsp::linearize::{
     history, is_linearizable, Completed, HistoryClock, MapOp, MapRet, MapSpec, QueueOp, QueueRet,
     QueueSpec, SetOp, SetRet, SetSpec, StackOp, StackRet, StackSpec,
@@ -175,10 +175,6 @@ fn set_histories_are_linearizable() {
 /// every provider's LL/SC must carry the full SCX protocol without
 /// producing a non-linearizable map history.
 fn ordmap_histories_are_linearizable<P: Provider>() {
-    if !<P::Var as LlScVar>::INDEPENDENT_KEEPS {
-        assert_map_refused::<P>();
-        return;
-    }
     const MAP_SEEDS: u64 = 20;
     for seed in 0..MAP_SEEDS {
         // One spare slot: the construction context must not collide with
@@ -242,24 +238,6 @@ fn ordmap_histories_are_linearizable<P: Provider>() {
             "ordmap seed {seed}: non-linearizable history:\n{h:#?}"
         );
     }
-}
-
-/// A provider with one kept word per (process, variable) cannot carry
-/// LLX's simultaneous keeps on one record: building the map must be
-/// refused, not left to lose updates.
-fn assert_map_refused<P: Provider>() {
-    let env = P::env(1).expect("provider env");
-    let mut tc = P::thread_ctx(&env, 0);
-    let mut ctx = P::ctx(&mut tc);
-    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        OrdMap::new(
-            1,
-            ordmap_capacity(1),
-            || P::var(&env, 0).expect("provider var"),
-            &mut ctx,
-        )
-    }));
-    assert!(built.is_err(), "the ordmap must refuse {}", P::ID.name());
 }
 
 macro_rules! ordmap_linearizability {
