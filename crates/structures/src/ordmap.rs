@@ -19,6 +19,9 @@
 //!   internal node over `{old leaf, new leaf}` (1 SCX, V = {parent});
 //! * insert of an existing key swaps the leaf for a new one (V =
 //!   {parent, leaf}, old leaf finalized);
+//! * insert of an existing key with the value it already maps to is
+//!   read-only: it returns that value from the reached leaf, with no
+//!   record, no LLX and no SCX;
 //! * delete splices the leaf and its parent out by installing a **fresh
 //!   copy of the sibling** (V = {grandparent, parent, leaf, sibling},
 //!   the latter three finalized).
@@ -32,7 +35,13 @@
 //! linked handles plus help's one transient sequence.
 //!
 //! **Reads.** `get` is a plain traversal (leaves are immutable; helping
-//! happens only if it lands on a frozen record via LLX elsewhere).
+//! happens only if it lands on a frozen record via LLX elsewhere). Every
+//! record a search reaches was in the tree at some instant during the
+//! search — a removed record keeps its edges and no record is ever
+//! linked twice — so the reached leaf's pair held at that instant, and
+//! `get` linearizes there. A same-value insert shares the argument: it
+//! linearizes at the instant its leaf showed `key → value`, where writing
+//! `value` changes nothing.
 //! `range_snapshot` is the paper-pitched VL/VLX read path: an unlinked
 //! LLX snapshot per visited record, then one `vlx_snapshots` pass over
 //! all of them — if every record is unchanged, the whole traversal is a
@@ -107,7 +116,10 @@ impl<V: LlScVar> fmt::Debug for OrdMap<V> {
 /// Record budget sufficient for `ops` arbitrary [`OrdMap`] insert/delete
 /// calls: 3 sentinel records plus the per-call worst case (an insert of a
 /// new key allocates a leaf and an internal node; a delete allocates one
-/// sibling copy; contended retries reuse their spares).
+/// sibling copy; contended retries reuse their spares). An insert of the
+/// value a key already maps to spends no record, but the bound stays the
+/// worst case: whether a call finds its value present depends on the
+/// interleaving.
 #[must_use]
 pub const fn ordmap_capacity(ops: usize) -> usize {
     3 + 2 * ops
@@ -177,14 +189,26 @@ impl<V: LlScVar> OrdMap<V> {
 
     /// Looks up `key`. A plain traversal: leaves are immutable, so the
     /// reached leaf either carries the key's current pair or proves the
-    /// key absent at some instant during the call.
+    /// key absent at some instant during the call. Keys in the sentinel
+    /// range (`key >= u64::MAX - 1`) are never stored, so they read as
+    /// `None` without a descent.
     pub fn get(&self, ctx: &mut V::Ctx<'_>, key: u64) -> Option<u64> {
+        if key >= INF1 {
+            return None;
+        }
         let (_, _, leaf) = self.search(ctx, key);
         (self.d.meta(leaf, KEY) == key).then(|| self.d.meta(leaf, VAL))
     }
 
     /// Inserts `key → value` as process `p`, returning the previous value
     /// if the key was present.
+    ///
+    /// When the reached leaf already maps `key` to `value`, the call is a
+    /// read: it returns `Some(value)` and linearizes where [`get`] would
+    /// have returned that value, spending no record, LLX or SCX. The
+    /// check runs after every search, retries included.
+    ///
+    /// [`get`]: OrdMap::get
     ///
     /// # Errors
     ///
@@ -207,12 +231,18 @@ impl<V: LlScVar> OrdMap<V> {
         loop {
             let (_gp, par, leaf) = self.search(ctx, key);
             let leaf_key = self.d.meta(leaf, KEY);
+            let update = leaf_key == key;
+            if update && self.d.meta(leaf, VAL) == value {
+                // The leaf held `key → value` at an instant of the search:
+                // writing `value` there changes nothing. Spares an earlier
+                // attempt took stay unpublished, as in delete.
+                return Ok(Some(value));
+            }
             // Prepare the records this attempt would install *before*
             // linking anything: allocation failure must not strand open
             // keeps, and an aborted attempt's spares are reused (they were
             // never published, so rewriting them is legal).
             let nl = self.take_spare(ctx, p, &mut spare_leaf, &[key, value], &[0, 0])?;
-            let update = leaf_key == key;
             let internal = if update {
                 None
             } else {
@@ -559,6 +589,10 @@ mod tests {
         let mut ctx = Native;
         assert_eq!(m.get(&mut ctx, 0), None);
         assert_eq!(m.get(&mut ctx, TOP), None);
+        // The sentinel keys themselves are not user keys: their leaves
+        // must not read as stored pairs.
+        assert_eq!(m.get(&mut ctx, INF1), None);
+        assert_eq!(m.get(&mut ctx, INF2), None);
         assert_eq!(m.delete(&mut ctx, 0, 0).unwrap(), None);
         assert_eq!(m.delete(&mut ctx, 0, TOP).unwrap(), None);
         assert!(m.is_empty(&mut ctx));
@@ -591,6 +625,28 @@ mod tests {
         assert_eq!(m.delete(&mut ctx, 0, 0).unwrap(), Some(6));
         assert_eq!(m.delete(&mut ctx, 0, TOP).unwrap(), Some(5));
         assert!(m.is_empty(&mut ctx));
+        assert_eq!(m.get(&mut ctx, INF1), None);
+        assert_eq!(m.get(&mut ctx, INF2), None);
+    }
+
+    #[test]
+    fn same_value_insert_spends_no_record() {
+        let m = native_map(1, 16);
+        let mut ctx = Native;
+        assert_eq!(m.insert(&mut ctx, 0, 5, 50).unwrap(), None);
+        assert_eq!(m.insert(&mut ctx, 0, 3, 30).unwrap(), None);
+        let before = m.remaining_capacity();
+        assert_eq!(m.insert(&mut ctx, 0, 5, 50).unwrap(), Some(50));
+        assert_eq!(m.insert(&mut ctx, 0, 3, 30).unwrap(), Some(30));
+        assert_eq!(m.remaining_capacity(), before, "a no-op write spent a record");
+        assert_eq!(m.get(&mut ctx, 5), Some(50));
+        // A different value still replaces the leaf: exactly one record.
+        assert_eq!(m.insert(&mut ctx, 0, 5, 51).unwrap(), Some(50));
+        assert_eq!(m.remaining_capacity(), before - 1);
+        assert_eq!(m.get(&mut ctx, 5), Some(51));
+        assert_eq!(m.insert(&mut ctx, 0, 5, 51).unwrap(), Some(51));
+        assert_eq!(m.remaining_capacity(), before - 1);
+        assert_eq!(m.snapshot(&mut ctx), vec![(3, 30), (5, 51)]);
     }
 
     #[test]

@@ -114,10 +114,16 @@ fn set_matches_btreeset_model() {
 /// below, so a newly registered provider gets ordered-map differential
 /// coverage for free. (Sized within the constant-time provider's
 /// per-domain variable budget: each record costs three LL/SC words.)
+///
+/// Each key has two values, `10k` drawn three times in four and `10k + 1`
+/// otherwise, so inserts of a present key often rewrite the value already
+/// there (insert's read-only path) and often replace it (its SCX path);
+/// the share of the former is asserted to be at least a quarter.
 fn ordmap_matches_btreemap<P: Provider>(seed: u64) {
     const CASES: usize = 12;
     const OPS: usize = 36;
     let mut rng = SplitMix64::new(seed);
+    let (mut present, mut same) = (0u32, 0u32);
     for case in 0..CASES {
         let env = P::env(1).expect("provider env");
         let mut tc = P::thread_ctx(&env, 0);
@@ -132,13 +138,20 @@ fn ordmap_matches_btreemap<P: Provider>(seed: u64) {
         for step in 0..OPS {
             let kind = rng.next_index(4);
             let key = rng.next_below(10);
-            let value = rng.next_below(1_000);
+            let value = 10 * key + u64::from(rng.next_index(4) == 0);
             match kind {
-                0 | 1 => assert_eq!(
-                    map.insert(&mut ctx, 0, key, value).unwrap(),
-                    model.insert(key, value),
-                    "case {case} step {step}: insert({key}, {value})"
-                ),
+                0 | 1 => {
+                    let want = model.insert(key, value);
+                    if let Some(old) = want {
+                        present += 1;
+                        same += u32::from(old == value);
+                    }
+                    assert_eq!(
+                        map.insert(&mut ctx, 0, key, value).unwrap(),
+                        want,
+                        "case {case} step {step}: insert({key}, {value})"
+                    );
+                }
                 2 => assert_eq!(
                     map.delete(&mut ctx, 0, key).unwrap(),
                     model.remove(&key),
@@ -160,6 +173,12 @@ fn ordmap_matches_btreemap<P: Provider>(seed: u64) {
             "case {case}: range snapshot"
         );
     }
+    let share = f64::from(same) / f64::from(present.max(1));
+    eprintln!("ordmap: {same}/{present} inserts of a present key were same-value ({share:.2})");
+    assert!(
+        4 * same >= present && same > 0,
+        "same-value inserts {same}/{present}: below a quarter"
+    );
 }
 
 macro_rules! ordmap_differential {

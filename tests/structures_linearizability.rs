@@ -174,8 +174,15 @@ fn set_histories_are_linearizable() {
 /// end-to-end by the Wing–Gong search. Stamped over the registry below:
 /// every provider's LL/SC must carry the full SCX protocol without
 /// producing a non-linearizable map history.
+///
+/// Each key has two values, `10k` drawn three times in four and `10k + 1`
+/// otherwise, so inserts of a present key often write the value already
+/// there (insert's read-only path) and often a different one (its SCX
+/// path). The share of the former among inserts that returned `Some` is
+/// asserted to be at least a quarter.
 fn ordmap_histories_are_linearizable<P: Provider>() {
     const MAP_SEEDS: u64 = 20;
+    let (mut present, mut same) = (0u32, 0u32);
     for seed in 0..MAP_SEEDS {
         // One spare slot: the construction context must not collide with
         // the worker threads' claims.
@@ -207,7 +214,7 @@ fn ordmap_histories_are_linearizable<P: Provider>() {
                             let key = (r >> 8) % 3; // tiny key space: max conflict
                             match r % 3 {
                                 0 => {
-                                    let v = r >> 32;
+                                    let v = 10 * key + u64::from((r >> 32).is_multiple_of(4));
                                     let _ = rec.record(MapOp::Insert(key, v), || {
                                         MapRet(map.insert(&mut ctx, t, key, v).unwrap())
                                     });
@@ -237,7 +244,19 @@ fn ordmap_histories_are_linearizable<P: Provider>() {
             is_linearizable(MapSpec::new(), &h),
             "ordmap seed {seed}: non-linearizable history:\n{h:#?}"
         );
+        for e in &h {
+            if let (MapOp::Insert(_, v), MapRet(Some(old))) = (e.op, e.ret) {
+                present += 1;
+                same += u32::from(old == v);
+            }
+        }
     }
+    let share = f64::from(same) / f64::from(present.max(1));
+    eprintln!("ordmap: {same}/{present} inserts of a present key were same-value ({share:.2})");
+    assert!(
+        4 * same >= present && same > 0,
+        "same-value inserts {same}/{present}: below a quarter"
+    );
 }
 
 macro_rules! ordmap_linearizability {
