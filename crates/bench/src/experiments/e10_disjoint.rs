@@ -9,17 +9,20 @@
 //!
 //! Disjoint-access parallelism is a property of *which words operations
 //! touch*, so it is measured here exactly that way — host-independently —
-//! using the simulator's instruction traces: two processes run LL;SC
-//! cycles on two **different** variables, and we intersect the sets of
-//! addresses they accessed. A DAP construction has an empty intersection;
-//! Figures 6 and 7 share announce-array words (the paper's admission), and
-//! the table quantifies how many.
+//! through the simulator's schedule-point hook ([`nbsp_memsim::sched`]),
+//! which every simulated instruction calls with its word's address: two
+//! processes run LL;SC cycles on two **different** variables, and we
+//! intersect the sets of addresses they accessed. A DAP construction has
+//! an empty intersection; Figures 6 and 7 share announce-array words (the
+//! paper's admission), and the table quantifies how many.
 
 use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use nbsp_core::bounded::BoundedDomain;
 use nbsp_core::wide::{WideDomain, WideKeep};
 use nbsp_core::{CasLlSc, EmuCasWord, Keep, RllLlSc, SimCas, SimFamily, TagLayout};
+use nbsp_memsim::sched::{self, AccessKind, Decision, SchedulePoint};
 use nbsp_memsim::{InstructionSet, Machine, ProcId, Processor};
 
 use crate::report::{Report, Table};
@@ -43,17 +46,37 @@ impl Footprint {
     }
 }
 
-fn traced_machine(n: usize, isa: InstructionSet) -> Machine {
-    Machine::builder(n)
-        .instruction_set(isa)
-        .trace_depth(1 << 16)
-        .build()
+/// Collects the address of every shared access made on the thread it is
+/// installed on; a declared [`AccessKind::Wait`] touches no memory and is
+/// left out.
+#[derive(Default)]
+struct Touched(Mutex<BTreeSet<usize>>);
+
+impl SchedulePoint for Touched {
+    fn yield_point(&self, addr: usize, kind: AccessKind) -> Decision {
+        if kind != AccessKind::Wait {
+            self.0.lock().unwrap().insert(addr);
+        }
+        Decision::Proceed
+    }
 }
 
-fn footprints(procs: &[Processor]) -> Footprint {
-    let sets: Vec<BTreeSet<usize>> = procs
+/// Runs `body` once per processor of a fresh two-processor machine,
+/// recording the words each run touches, and intersects the two sets.
+fn footprints(isa: InstructionSet, body: impl Fn(usize, &Processor)) -> Footprint {
+    let m = Machine::builder(2).instruction_set(isa).build();
+    let sets: Vec<BTreeSet<usize>> = m
+        .processors()
         .iter()
-        .map(|p| p.trace().iter().map(|e| e.addr).collect())
+        .enumerate()
+        .map(|(i, p)| {
+            let touched = Arc::new(Touched::default());
+            let guard = sched::install(touched.clone());
+            body(i, p);
+            drop(guard);
+            let set = touched.0.lock().unwrap().clone();
+            set
+        })
         .collect();
     let union: BTreeSet<usize> = sets.iter().flatten().copied().collect();
     let shared: BTreeSet<usize> = sets[0].intersection(&sets[1]).copied().collect();
@@ -66,96 +89,81 @@ fn footprints(procs: &[Processor]) -> Footprint {
 /// Figure 3 (emulated CAS): two processes CAS-increment disjoint words.
 #[must_use]
 pub fn fig3_footprint(ops: u64) -> Footprint {
-    let m = traced_machine(2, InstructionSet::RllRscOnly);
-    let procs = m.processors();
     let vars = [
         EmuCasWord::new(TagLayout::half(), 0).unwrap(),
         EmuCasWord::new(TagLayout::half(), 0).unwrap(),
     ];
-    for (p, v) in procs.iter().zip(&vars) {
-        for i in 0..ops {
-            assert!(v.cas(p, i, i + 1));
+    footprints(InstructionSet::RllRscOnly, |i, p| {
+        for k in 0..ops {
+            assert!(vars[i].cas(p, k, k + 1));
         }
-    }
-    footprints(&procs)
+    })
 }
 
 /// Figure 4 over simulated CAS: two processes on disjoint variables.
 #[must_use]
 pub fn fig4_footprint(ops: u64) -> Footprint {
-    let m = traced_machine(2, InstructionSet::CasOnly);
-    let procs = m.processors();
     let vars = [
         CasLlSc::<SimFamily>::new(TagLayout::half(), 0).unwrap(),
         CasLlSc::<SimFamily>::new(TagLayout::half(), 0).unwrap(),
     ];
-    for (p, v) in procs.iter().zip(&vars) {
+    footprints(InstructionSet::CasOnly, |i, p| {
         let mem = SimCas::new(p);
         for _ in 0..ops {
             let mut keep = Keep::default();
-            let x = v.ll(&mem, &mut keep);
-            assert!(v.sc(&mem, &keep, x + 1));
+            let x = vars[i].ll(&mem, &mut keep);
+            assert!(vars[i].sc(&mem, &keep, x + 1));
         }
-    }
-    footprints(&procs)
+    })
 }
 
 /// Figure 5: two processes on disjoint variables.
 #[must_use]
 pub fn fig5_footprint(ops: u64) -> Footprint {
-    let m = traced_machine(2, InstructionSet::RllRscOnly);
-    let procs = m.processors();
     let vars = [
         RllLlSc::new(TagLayout::half(), 0).unwrap(),
         RllLlSc::new(TagLayout::half(), 0).unwrap(),
     ];
-    for (p, v) in procs.iter().zip(&vars) {
+    footprints(InstructionSet::RllRscOnly, |i, p| {
         for _ in 0..ops {
             let mut keep = Keep::default();
-            let x = v.ll(p, &mut keep);
-            assert!(v.sc(p, &keep, x + 1));
+            let x = vars[i].ll(p, &mut keep);
+            assert!(vars[i].sc(p, &keep, x + 1));
         }
-    }
-    footprints(&procs)
+    })
 }
 
 /// Figure 6: two processes on disjoint wide variables of one domain.
 #[must_use]
 pub fn fig6_footprint(ops: u64) -> Footprint {
     const W: usize = 4;
-    let m = traced_machine(2, InstructionSet::CasOnly);
-    let procs = m.processors();
     let d = WideDomain::<SimFamily>::new(2, W, 32).unwrap();
     let vars = [d.var(&[0; W]).unwrap(), d.var(&[0; W]).unwrap()];
-    for (i, (p, v)) in procs.iter().zip(&vars).enumerate() {
+    footprints(InstructionSet::CasOnly, |i, p| {
         let mem = SimCas::new(p);
         let pid = ProcId::new(i);
         for _ in 0..ops {
             let mut keep = WideKeep::default();
             let mut buf = [0u64; W];
-            assert!(v.wll(&mem, &mut keep, &mut buf).is_success());
-            assert!(v.sc(&mem, pid, &keep, &[buf[0] + 1; W]));
+            assert!(vars[i].wll(&mem, &mut keep, &mut buf).is_success());
+            assert!(vars[i].sc(&mem, pid, &keep, &[buf[0] + 1; W]));
         }
-    }
-    footprints(&procs)
+    })
 }
 
 /// Figure 7: two processes on disjoint bounded variables of one domain.
 #[must_use]
 pub fn fig7_footprint(ops: u64) -> Footprint {
-    let m = traced_machine(2, InstructionSet::CasOnly);
-    let procs = m.processors();
     let d = BoundedDomain::<SimFamily>::new(2, 2).unwrap();
     let vars = [d.var(0).unwrap(), d.var(0).unwrap()];
-    let mut states: Vec<_> = (0..2).map(|i| d.proc(i)).collect();
-    for (i, p) in procs.iter().enumerate() {
+    footprints(InstructionSet::CasOnly, |i, p| {
         let mem = SimCas::new(p);
+        let mut state = d.proc(i);
         for _ in 0..ops {
-            let (x, keep) = vars[i].ll(&mem, &mut states[i]);
-            assert!(vars[i].sc(&mem, &mut states[i], keep, x + 1));
+            let (x, keep) = vars[i].ll(&mem, &mut state);
+            assert!(vars[i].sc(&mem, &mut state, keep, x + 1));
         }
-    }
-    footprints(&procs)
+    })
 }
 
 /// Runs E10.
@@ -166,8 +174,9 @@ pub fn run(ops: u64) -> Report {
     report.para(
         "Paper claim: Figures 3/4/5 are disjoint-access parallel (DAP); \
          Figures 6/7 are not, but their shared accesses \"are not \
-         concentrated in any one area\". Measured directly from simulator \
-         traces: two processes each run LL;SC cycles on their *own* \
+         concentrated in any one area\". Measured directly from the words \
+         each simulated instruction reports to the schedule-point hook: \
+         two processes each run LL;SC cycles on their *own* \
          variable; the table counts distinct words touched by both. DAP = \
          zero shared words; for Figures 6/7 the shared words are the \
          domain's announce arrays — a few words out of many, confirming \
@@ -199,7 +208,7 @@ pub fn run(ops: u64) -> Report {
     report.table(&t);
     report.para(
         "Expected shape: zero shared words for Figures 3/4/5 — the paper's \
-         DAP claim, with the trace proving the code matches it. Figure 7 \
+         DAP claim, with the recorded footprints proving the code matches it. Figure 7 \
          is *structurally* non-DAP: every SC scans the shared announce \
          array, so shared words appear even in this uncontended run. \
          Figure 6 refines the paper's blanket \"not DAP\" statement: its \

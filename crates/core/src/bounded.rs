@@ -249,12 +249,6 @@ impl<F: CasFamily> BoundedDomain<F> {
         }))
     }
 
-    /// The tag-queue implementation this domain's processes use.
-    #[must_use]
-    pub fn tag_policy(&self) -> TagPolicy {
-        self.policy
-    }
-
     /// Number of processes.
     #[must_use]
     pub fn n(&self) -> usize {

@@ -20,6 +20,12 @@
 //!   RLL and the subsequent RSC";
 //! * words are a single machine word (64 bits here).
 //!
+//! Every instruction reports the word it is about to access, and the kind
+//! of access, to [`sched::yield_point`] first. That one seam carries the
+//! model checker's schedules, crash injection, and any observer that needs
+//! to know which words a run touched (the disjoint-access-parallelism
+//! experiment installs one).
+//!
 //! A [`Machine`] also carries an [`InstructionSet`] capability so tests can
 //! model machines that provide *either* CAS *or* RLL/RSC but not both — the
 //! portability gap the paper closes.
@@ -61,7 +67,6 @@ pub mod rng;
 pub mod sched;
 mod spurious;
 mod stats;
-mod trace;
 mod word;
 
 pub use cost::CostModel;
@@ -73,7 +78,6 @@ pub use pad::CachePadded;
 pub use proc_id::ProcId;
 pub use spurious::SpuriousMode;
 pub use stats::ProcStats;
-pub use trace::{FebOp, RscOutcome, TraceEvent, TraceKind};
 pub use word::SimWord;
 
 /// The NB-FEB full/empty flag bit, stored in the top bit of a [`SimWord`].

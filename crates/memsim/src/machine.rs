@@ -4,8 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::rng::SplitMix64;
-use crate::trace::{FebOp, TraceEvent, TraceKind, TraceRing};
-use crate::{CachePadded, ProcId, ProcStats, RscOutcome, SimWord, SpuriousMode};
+use crate::{CachePadded, ProcId, ProcStats, SimWord, SpuriousMode};
 
 /// Which strong synchronization instructions the simulated machine provides.
 ///
@@ -162,9 +161,6 @@ pub enum AccessBetween {
     /// fine — the restriction concerns the RLL→RSC *pair*.) Use in tests
     /// to prove an algorithm never violates the restriction.
     Panic,
-    /// The reservation survives (idealised hardware; useful to isolate the
-    /// effect of the restriction in ablation experiments).
-    Allow,
 }
 
 #[derive(Debug)]
@@ -174,7 +170,6 @@ struct MachineInner {
     spurious: SpuriousMode,
     access_between: AccessBetween,
     seed: u64,
-    trace_depth: usize,
     /// One claim flag per processor; padded because unrelated threads claim
     /// their processors concurrently at startup and should not ping-pong a
     /// shared line while doing so.
@@ -224,7 +219,6 @@ pub struct MachineBuilder {
     spurious: SpuriousMode,
     access_between: AccessBetween,
     seed: u64,
-    trace_depth: usize,
 }
 
 impl MachineBuilder {
@@ -257,15 +251,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Enables per-processor instruction tracing, keeping the last `depth`
-    /// instructions per processor (default: 0, disabled). Retrieve with
-    /// [`Processor::trace`].
-    #[must_use]
-    pub fn trace_depth(mut self, depth: usize) -> Self {
-        self.trace_depth = depth;
-        self
-    }
-
     /// Builds the machine.
     ///
     /// # Panics
@@ -281,7 +266,6 @@ impl MachineBuilder {
                 spurious: self.spurious,
                 access_between: self.access_between,
                 seed: self.seed,
-                trace_depth: self.trace_depth,
                 claimed: (0..self.n)
                     .map(|_| CachePadded::new(AtomicBool::new(false)))
                     .collect(),
@@ -300,7 +284,6 @@ impl Machine {
             spurious: SpuriousMode::Never,
             access_between: AccessBetween::Invalidate,
             seed: 0,
-            trace_depth: 0,
         }
     }
 
@@ -343,7 +326,6 @@ impl Machine {
         assert!(!was, "processor {id} claimed twice");
         Processor {
             id: ProcId::new(id),
-            trace: RefCell::new(TraceRing::new(self.inner.trace_depth)),
             inner: Arc::clone(&self.inner),
             reservation: Cell::new(None),
             rsc_counter: Cell::new(0),
@@ -396,7 +378,6 @@ struct Reservation {
 #[repr(align(128))]
 pub struct Processor {
     id: ProcId,
-    trace: RefCell<TraceRing>,
     inner: Arc<MachineInner>,
     reservation: Cell<Option<Reservation>>,
     /// Total RSC attempts, used to index the spurious-failure schedule.
@@ -446,19 +427,6 @@ impl Processor {
         self.stats.set(ProcStats::default());
     }
 
-    /// The last traced instructions (empty unless the machine was built
-    /// with [`MachineBuilder::trace_depth`]).
-    #[must_use]
-    pub fn trace(&self) -> Vec<TraceEvent> {
-        self.trace.borrow().snapshot()
-    }
-
-    fn record(&self, addr: usize, kind: TraceKind) {
-        if self.inner.trace_depth > 0 {
-            self.trace.borrow_mut().push(addr, kind);
-        }
-    }
-
     fn bump(&self, f: impl FnOnce(&mut ProcStats)) {
         let mut s = self.stats.get();
         f(&mut s);
@@ -472,7 +440,6 @@ impl Processor {
             return;
         };
         match self.inner.access_between {
-            AccessBetween::Allow => {}
             AccessBetween::Invalidate => {
                 self.reservation.set(None);
                 self.bump(|s| s.reservations_invalidated += 1);
@@ -488,8 +455,8 @@ impl Processor {
     /// processor writes `w`, and yields the time slice.
     ///
     /// This performs **no** shared access: no memory is touched, no
-    /// reservation is invalidated, nothing is counted or traced — the
-    /// processor merely hands control away. Spin loops that wait for a
+    /// reservation is invalidated, nothing is counted — the processor
+    /// merely hands control away. Spin loops that wait for a
     /// *specific* word to change (the FIFO hand-off of
     /// `nbsp_core::KwWord`, the claim-slot release of
     /// `nbsp_core::FebWord`) call this between re-reads. On a live
@@ -513,9 +480,7 @@ impl Processor {
         let _ = crate::sched::yield_point(w.addr(), crate::sched::AccessKind::Read);
         self.touch_memory();
         self.bump(|s| s.reads += 1);
-        let value = w.load();
-        self.record(w.addr(), TraceKind::Read { value });
-        value
+        w.load()
     }
 
     /// Writes a word (an ordinary store).
@@ -524,7 +489,6 @@ impl Processor {
         self.touch_memory();
         self.bump(|s| s.writes += 1);
         w.store(value);
-        self.record(w.addr(), TraceKind::Write { value });
     }
 
     /// Hardware compare-and-swap.
@@ -549,7 +513,6 @@ impl Processor {
                 s.cas_success += 1;
             }
         });
-        self.record(w.addr(), TraceKind::Cas { old, new, ok });
         ok
     }
 
@@ -569,9 +532,7 @@ impl Processor {
         let _ = crate::sched::yield_point(w.addr(), crate::sched::AccessKind::Swap);
         self.touch_memory();
         self.bump(|s| s.swaps += 1);
-        let old = w.swap(value);
-        self.record(w.addr(), TraceKind::Swap { new: value, old });
-        old
+        w.swap(value)
     }
 
     /// Fetch-and-add: adds `delta` (wrapping) and returns the old word.
@@ -589,9 +550,7 @@ impl Processor {
         let _ = crate::sched::yield_point(w.addr(), crate::sched::AccessKind::FetchAdd);
         self.touch_memory();
         self.bump(|s| s.fetch_adds += 1);
-        let old = w.fetch_add(delta);
-        self.record(w.addr(), TraceKind::FetchAdd { delta, old });
-        old
+        w.fetch_add(delta)
     }
 
     /// NB-FEB test-flag-and-set: iff the word's full/empty flag
@@ -613,16 +572,7 @@ impl Processor {
         let _ = crate::sched::yield_point(w.addr(), crate::sched::AccessKind::Feb);
         self.touch_memory();
         self.bump(|s| s.febs += 1);
-        let old = w.tfas(value);
-        self.record(
-            w.addr(),
-            TraceKind::Feb {
-                op: FebOp::Tfas,
-                value,
-                old,
-            },
-        );
-        old
+        w.tfas(value)
     }
 
     /// NB-FEB store-and-clear: unconditionally install `value` with the
@@ -643,16 +593,7 @@ impl Processor {
         let _ = crate::sched::yield_point(w.addr(), crate::sched::AccessKind::Feb);
         self.touch_memory();
         self.bump(|s| s.febs += 1);
-        let old = w.sac(value);
-        self.record(
-            w.addr(),
-            TraceKind::Feb {
-                op: FebOp::Sac,
-                value,
-                old,
-            },
-        );
-        old
+        w.sac(value)
     }
 
     /// NB-FEB load: reads the word, flag included. Read-only (commutes
@@ -671,16 +612,7 @@ impl Processor {
         let _ = crate::sched::yield_point(w.addr(), crate::sched::AccessKind::Read);
         self.touch_memory();
         self.bump(|s| s.febs += 1);
-        let old = w.load();
-        self.record(
-            w.addr(),
-            TraceKind::Feb {
-                op: FebOp::Load,
-                value: 0,
-                old,
-            },
-        );
-        old
+        w.load()
     }
 
     /// Restricted load-linked: reads `w` and sets this processor's single
@@ -704,7 +636,6 @@ impl Processor {
             dirtied: false,
         }));
         self.bump(|s| s.rll += 1);
-        self.record(w.addr(), TraceKind::Rll { value: observed });
         observed
     }
 
@@ -742,13 +673,6 @@ impl Processor {
                     s.rsc_attempts += 1;
                     s.rsc_conflict += 1;
                 });
-                self.record(
-                    w.addr(),
-                    TraceKind::Rsc {
-                        new,
-                        outcome: RscOutcome::Conflict,
-                    },
-                );
                 return false;
             }
         };
@@ -774,13 +698,6 @@ impl Processor {
                 s.rsc_attempts += 1;
                 s.rsc_spurious += 1;
             });
-            self.record(
-                w.addr(),
-                TraceKind::Rsc {
-                    new,
-                    outcome: RscOutcome::Spurious,
-                },
-            );
             return false;
         }
 
@@ -793,17 +710,6 @@ impl Processor {
                 s.rsc_conflict += 1;
             }
         });
-        self.record(
-            w.addr(),
-            TraceKind::Rsc {
-                new,
-                outcome: if ok {
-                    RscOutcome::Success
-                } else {
-                    RscOutcome::Conflict
-                },
-            },
-        );
         ok
     }
 
@@ -844,9 +750,7 @@ mod tests {
     fn second_rll_discards_first_reservation() {
         // Single LLBit per processor: an RLL on Y after an RLL on X leaves
         // only the Y reservation, so an RSC on X must panic (wrong word).
-        let m = Machine::builder(1)
-            .access_between(AccessBetween::Allow)
-            .build();
+        let m = Machine::new(1);
         let p = m.processor(0);
         let x = SimWord::new(1);
         let y = SimWord::new(2);
@@ -861,9 +765,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different word")]
     fn rsc_on_wrong_word_panics() {
-        let m = Machine::builder(1)
-            .access_between(AccessBetween::Allow)
-            .build();
+        let m = Machine::new(1);
         let p = m.processor(0);
         let x = SimWord::new(1);
         let y = SimWord::new(2);
@@ -882,19 +784,6 @@ mod tests {
         let _ = p.read(&z); // restriction #1 violated -> reservation dropped
         assert!(!p.rsc(&w, v + 1));
         assert_eq!(p.stats().reservations_invalidated, 1);
-    }
-
-    #[test]
-    fn intervening_access_allowed_when_policy_allows() {
-        let m = Machine::builder(1)
-            .access_between(AccessBetween::Allow)
-            .build();
-        let p = m.processor(0);
-        let w = SimWord::new(0);
-        let z = SimWord::new(7);
-        let v = p.rll(&w);
-        let _ = p.read(&z);
-        assert!(p.rsc(&w, v + 1));
     }
 
     #[test]
@@ -1159,58 +1048,77 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_instruction_stream() {
-        let m = Machine::builder(1).trace_depth(8).build();
-        let p = m.processor(0);
-        let w = SimWord::new(1);
-        let _ = p.read(&w);
-        p.write(&w, 2);
-        let _ = p.cas(&w, 2, 3);
-        let v = p.rll(&w);
-        let _ = p.rsc(&w, v + 1);
-        let trace = p.trace();
-        assert_eq!(trace.len(), 5);
-        assert!(matches!(trace[0].kind, crate::TraceKind::Read { value: 1 }));
-        assert!(matches!(trace[2].kind, crate::TraceKind::Cas { ok: true, .. }));
-        assert!(matches!(
-            trace[4].kind,
-            crate::TraceKind::Rsc {
-                outcome: crate::RscOutcome::Success,
-                ..
+    fn every_instruction_yields_once_before_its_access() {
+        use crate::sched::{self, AccessKind, Decision, SchedulePoint};
+        use std::sync::{Arc, Mutex};
+
+        /// Logs each yield with the value its word held at that moment, so
+        /// a mutating instruction must show the value from *before* it ran.
+        struct Recorder {
+            words: [Arc<SimWord>; 2],
+            log: Mutex<Vec<(usize, AccessKind, u64)>>,
+        }
+        impl SchedulePoint for Recorder {
+            fn yield_point(&self, addr: usize, kind: AccessKind) -> Decision {
+                let word = self.words.iter().find(|w| w.addr() == addr).unwrap();
+                self.log.lock().unwrap().push((addr, kind, word.peek()));
+                Decision::Proceed
             }
-        ));
-        // Sequence numbers are monotone and addresses match the word.
-        assert!(trace.windows(2).all(|t| t[0].seq < t[1].seq));
-        assert!(trace.iter().all(|t| t.addr == w.addr()));
-    }
+        }
 
-    #[test]
-    fn tracing_disabled_by_default() {
-        let m = Machine::new(1);
-        let p = m.processor(0);
-        let w = SimWord::new(0);
-        let _ = p.read(&w);
-        assert!(p.trace().is_empty());
-    }
-
-    #[test]
-    fn trace_captures_spurious_outcome() {
-        let m = Machine::builder(1)
-            .trace_depth(4)
+        let w = Arc::new(SimWord::new(1));
+        let f = Arc::new(SimWord::new(0));
+        let rec = Arc::new(Recorder {
+            words: [Arc::clone(&w), Arc::clone(&f)],
+            log: Mutex::new(Vec::new()),
+        });
+        let m = Machine::builder(2)
             .spurious(SpuriousMode::Budget { per_proc: 1 })
             .build();
-        let p = m.processor(0);
-        let w = SimWord::new(0);
+        let (p, q) = (m.processor(0), m.processor(1));
+        let guard = sched::install(rec.clone());
+        let _ = p.read(&w);
+        p.write(&w, 2);
+        assert!(p.cas(&w, 2, 3));
+        assert_eq!(p.swap(&w, 4), 3);
+        assert_eq!(p.fetch_add(&w, 1), 4);
+        assert_eq!(p.feb_tfas(&f, 7), 0);
+        assert_eq!(p.feb_load(&f), 7 | crate::FEB_FLAG);
+        assert_eq!(p.feb_sac(&f, 1), 7 | crate::FEB_FLAG);
         let v = p.rll(&w);
-        let _ = p.rsc(&w, v + 1);
-        let trace = p.trace();
-        assert!(matches!(
-            trace.last().unwrap().kind,
-            crate::TraceKind::Rsc {
-                outcome: crate::RscOutcome::Spurious,
-                ..
-            }
-        ));
+        assert!(!p.rsc(&w, v + 1), "spurious failure");
+        let v = p.rll(&w);
+        assert!(p.rsc(&w, v + 1), "success");
+        let v = p.rll(&w);
+        q.write(&w, 9);
+        assert!(!p.rsc(&w, v + 1), "conflict");
+        p.await_change(&w);
+        drop(guard);
+        let _ = p.read(&w);
+
+        let s = p.stats();
+        assert_eq!((s.rsc_spurious, s.rsc_success, s.rsc_conflict), (1, 1, 1));
+        let (a, b) = (w.addr(), f.addr());
+        let expected = [
+            (a, AccessKind::Read, 1),
+            (a, AccessKind::Write, 1),
+            (a, AccessKind::Cas, 2),
+            (a, AccessKind::Swap, 3),
+            (a, AccessKind::FetchAdd, 4),
+            (b, AccessKind::Feb, 0),
+            (b, AccessKind::Read, 7 | crate::FEB_FLAG),
+            (b, AccessKind::Feb, 7 | crate::FEB_FLAG),
+            (a, AccessKind::Rll, 5),
+            (a, AccessKind::Rsc, 5),
+            (a, AccessKind::Rll, 5),
+            (a, AccessKind::Rsc, 5),
+            (a, AccessKind::Rll, 6),
+            (a, AccessKind::Write, 6),
+            (a, AccessKind::Rsc, 9),
+            (a, AccessKind::Wait, 9),
+        ];
+        // Nothing after the guard dropped: the final read is not logged.
+        assert_eq!(*rec.log.lock().unwrap(), expected);
     }
 
     #[test]

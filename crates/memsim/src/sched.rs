@@ -10,6 +10,11 @@
 //! `CasMemory` accessors and the raw-atomic ablations — call
 //! [`yield_point`] immediately before each shared access.
 //!
+//! Because each yield names the word and the kind of access, the same seam
+//! also serves observers that never reorder anything: crash injection
+//! ([`CrashPlan`]) counts accesses, and experiment E10 records the set of
+//! words each process touches to check disjoint-access parallelism.
+//!
 //! The hook is **per-thread**: a checker installs its [`SchedulePoint`]
 //! only in the worker threads it spawns, so concurrently running tests,
 //! benchmarks and unrelated threads in the same process are never
