@@ -4,8 +4,9 @@
 //! * default (`telemetry` on): reports the recording cost per small op
 //!   (not gated) and runs the racy-vs-atomic snapshot ablation, gating
 //!   the Figure-6 reader to zero torn observations;
-//! * `--no-default-features`: gates the geomean instrumented/stub-free
-//!   ratio at 1% — the "zero cost when disabled" claim.
+//! * `--no-default-features`: gates the instrumented/stub-free ratio at
+//!   1% (the median over alternating repetitions of the geomean across
+//!   the small ops) — the "zero cost when disabled" claim.
 //!
 //! `--quick` shrinks the iteration counts and drops the gates (a smoke
 //! run's microloop timings are noise).

@@ -72,6 +72,7 @@ impl TagLayout {
     ///
     /// Returns [`Error::InvalidLayout`] if either width is zero or
     /// `tag_bits + val_bits > width` (or `width > 64`).
+    #[inline]
     pub fn for_width(tag_bits: u32, val_bits: u32, width: u32) -> Result<Self> {
         if tag_bits == 0
             || val_bits == 0
@@ -88,6 +89,7 @@ impl TagLayout {
     }
 
     /// A sensible default for 64-bit words: 32 tag bits, 32 value bits.
+    #[inline]
     #[must_use]
     pub fn half() -> Self {
         TagLayout {
@@ -147,6 +149,7 @@ impl TagLayout {
     /// Returns [`Error::ValueTooLarge`] if `val` exceeds [`TagLayout::max_val`].
     /// Tags are reduced modulo the tag range rather than rejected, because
     /// all tag arithmetic in the paper is modular.
+    #[inline]
     pub fn pack(self, tag: u64, val: u64) -> Result<u64> {
         if val > self.max_val() {
             return Err(Error::ValueTooLarge {

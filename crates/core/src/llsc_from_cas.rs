@@ -65,6 +65,7 @@ impl CasLlSc<Native> {
     /// # Errors
     ///
     /// See [`CasLlSc::new`].
+    #[inline]
     pub fn new_native(layout: TagLayout, initial: u64) -> Result<Self> {
         Self::new(layout, initial)
     }
@@ -79,6 +80,7 @@ impl<F: CasFamily> CasLlSc<F> {
     /// * [`Error::InvalidLayout`] if the layout needs more bits than the
     ///   family provides ([`CasFamily::VALUE_BITS`]).
     /// * [`Error::ValueTooLarge`] if `initial` does not fit the value field.
+    #[inline]
     pub fn new(layout: TagLayout, initial: u64) -> Result<Self> {
         if layout.total_bits() > F::VALUE_BITS {
             return Err(Error::InvalidLayout {

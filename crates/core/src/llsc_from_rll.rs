@@ -59,6 +59,7 @@ impl RllLlSc {
     ///
     /// Returns [`Error::ValueTooLarge`](crate::Error::ValueTooLarge) if
     /// `initial` does not fit the layout's value field.
+    #[inline]
     pub fn new(layout: TagLayout, initial: u64) -> Result<Self> {
         let word = layout.pack(0, initial)?;
         Ok(RllLlSc {

@@ -92,6 +92,7 @@ pub const PROVIDER_EMU_TAG_BITS: u32 = 16;
 /// for the differential fuzzer's tag churn not to wrap inside a window.
 pub const PROVIDER_WEAK_TAG_BITS: u32 = 16;
 
+#[inline]
 fn native_base(initial: u64) -> Result<CasLlSc<Native>> {
     CasLlSc::new_native(TagLayout::half(), initial)
 }
@@ -430,6 +431,7 @@ impl Provider for Fig4Native {
         Ok(n)
     }
 
+    #[inline]
     fn var(_env: &usize, initial: u64) -> Result<CasLlSc<Native>> {
         native_base(initial)
     }
@@ -573,6 +575,7 @@ impl Provider for Fig4Emu {
         Ok(machine(n, InstructionSet::RllRscOnly))
     }
 
+    #[inline]
     fn var(_env: &Machine, initial: u64) -> Result<Self::Var> {
         // 16 LL/SC tag bits + 32 value bits inside the emulation's 48
         // value bits (64 minus its own 16 emulation-tag bits).
@@ -610,6 +613,7 @@ impl Provider for Fig5Rll {
         Ok(machine(n, InstructionSet::RllRscOnly))
     }
 
+    #[inline]
     fn var(_env: &Machine, initial: u64) -> Result<RllLlSc> {
         RllLlSc::new(TagLayout::half(), initial)
     }
@@ -672,6 +676,7 @@ impl Provider for ConstantTime {
         ConstantDomain::new(n, PROVIDER_K, PROVIDER_MAX_VARS)
     }
 
+    #[inline]
     fn var(env: &Arc<ConstantDomain<Native>>, initial: u64) -> Result<ConstantVar<Native>> {
         env.var(&Native, initial)
     }
@@ -732,6 +737,7 @@ impl Provider for Dynamic {
         DynamicDomain::with_preadmitted(n)
     }
 
+    #[inline]
     fn var(env: &Arc<DynamicDomain>, initial: u64) -> Result<DynamicVar<VWord>> {
         DynamicVar::new(env.capacity(), initial)
     }

@@ -417,7 +417,7 @@ impl InfoLayout {
     }
 }
 
-fn pack_state(seq: u64, st: u64) -> u64 {
+const fn pack_state(seq: u64, st: u64) -> u64 {
     (seq << 2) | st
 }
 
@@ -484,9 +484,13 @@ impl<V: LlScVar, const F: usize, const M: usize> fmt::Debug for LlxDomain<V, F, 
 impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
     /// Builds a domain for `n` processes with a lifetime budget of
     /// `capacity` records, each carrying `F` SCX-mutable fields and `M`
-    /// immutable-after-alloc words. All LL/SC words come from `make_var`;
-    /// `ctx` is any operation context (used only to zero-initialize, the
-    /// construction is single-threaded).
+    /// immutable-after-alloc words. All LL/SC words come from `make_var`,
+    /// which is called exactly `(1 + F) · capacity + n` times and must
+    /// return words holding 0: a fresh record, its `info` word and an idle
+    /// descriptor state are all the word 0, so the arena is built in one
+    /// pass and no word is stored to again. Debug builds check the contract
+    /// through `ctx`, which is otherwise unused (construction is
+    /// single-threaded).
     ///
     /// Every [`LlScVar`] has independent keeps (module docs), which the
     /// type system enforces: a per-(process, variable) keep-search
@@ -514,15 +518,16 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
     ///
     /// Panics if the variable's value width cannot fit the info layout
     /// (needs `9 + ⌈log₂(n+1)⌉` bits plus at least 8 version bits), or if
-    /// `capacity` exceeds `u32::MAX` records.
+    /// `capacity` exceeds `u32::MAX` records. In debug builds, also panics
+    /// if `make_var` returns a word that does not hold 0.
     #[must_use]
     pub fn new(
         n: usize,
         capacity: usize,
-        mut make_var: impl FnMut() -> V,
+        make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
     ) -> Self {
-        Self::build(n, capacity, &mut make_var, ctx, Flaw::None)
+        Self::build(n, capacity, make_var, ctx, Flaw::None)
     }
 
     /// A deliberately broken domain for the model checker's planted-bug
@@ -532,17 +537,21 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
     pub fn new_flawed(
         n: usize,
         capacity: usize,
-        mut make_var: impl FnMut() -> V,
+        make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
         flaw: Flaw,
     ) -> Self {
-        Self::build(n, capacity, &mut make_var, ctx, flaw)
+        Self::build(n, capacity, make_var, ctx, flaw)
     }
 
+    /// Builds every record exactly once. The arena stays eager and exactly
+    /// `capacity` records long: a record claimed later would need either a
+    /// stored factory or an extra indirection on every descent step, and
+    /// would move its first-touch page fault into the caller's operations.
     fn build(
         n: usize,
         capacity: usize,
-        make_var: &mut dyn FnMut() -> V,
+        mut make_var: impl FnMut() -> V,
         ctx: &mut V::Ctx<'_>,
         flaw: Flaw,
     ) -> Self {
@@ -551,51 +560,43 @@ impl<V: LlScVar, const F: usize, const M: usize> LlxDomain<V, F, M> {
                 F >= 1 && F <= MAX_FIELDS,
                 "an LLX record has 1..=MAX_FIELDS mutable fields"
             );
+            assert!(pack_state(0, ST_IDLE) == 0, "an idle state is the word 0");
         }
         assert!(n >= 1, "at least one process");
         assert!(
             u32::try_from(capacity).is_ok(),
             "llx record indices are 32-bit: capacity {capacity} is too large"
         );
+        let mut zero_var = || {
+            let v = make_var();
+            debug_assert_eq!(v.read(ctx), 0, "make_var must return words holding 0");
+            v
+        };
         let recs: Box<[Record<V, F, M>]> = (0..capacity)
             .map(|_| Record {
-                info: make_var(),
-                fields: std::array::from_fn(|_| make_var()),
+                info: zero_var(),
+                fields: std::array::from_fn(|_| zero_var()),
                 meta: std::array::from_fn(|_| AtomicU64::new(0)),
             })
             .collect();
-        let states: Box<[CachePadded<V>]> =
-            (0..n).map(|_| CachePadded::new(make_var())).collect();
-        let probe_max = states
-            .first()
-            .map_or(u64::MAX, |s| LlScVar::max_val(&**s));
-        let layout = InfoLayout::new(n, probe_max);
-        let d = LlxDomain {
+        let states: Box<[CachePadded<V>]> = (0..n).map(|_| CachePadded::new(zero_var())).collect();
+        let probe_max = states.first().map_or(u64::MAX, |s| LlScVar::max_val(&**s));
+        LlxDomain {
             n,
             recs,
             descs: (0..n).map(|_| CachePadded::new(Desc::new())).collect(),
             states,
-            layout,
+            layout: InfoLayout::new(n, probe_max),
             max_val: probe_max,
             flaw,
             cursor: CachePadded::new(AtomicUsize::new(0)),
-        };
-        for r in d.recs.iter() {
-            d.force_store(ctx, &r.info, 0);
-            for f in &r.fields {
-                d.force_store(ctx, f, 0);
-            }
         }
-        for s in d.states.iter() {
-            d.force_store(ctx, s, pack_state(0, ST_IDLE));
-        }
-        d
     }
 
-    /// Single-threaded store to an unpublished word (construction /
-    /// allocation only): nothing when the word already holds `value` —
-    /// a fresh arena record's fields are zero from construction — else an
-    /// LL/SC retry loop.
+    /// Single-threaded store to an unpublished word (allocation only):
+    /// nothing when the word already holds `value` — a fresh arena
+    /// record's fields are zero from construction — else an LL/SC retry
+    /// loop.
     fn force_store(&self, ctx: &mut V::Ctx<'_>, var: &V, value: u64) {
         if var.read(ctx) == value {
             return;
@@ -1058,6 +1059,49 @@ mod tests {
             || CasLlSc::new_native(TagLayout::half(), 0).unwrap(),
             &mut ctx,
         )
+    }
+
+    #[test]
+    fn build_calls_the_factory_once_per_word() {
+        let (n, capacity) = (3, 10);
+        let mut calls = 0;
+        let _d = LlxDomain::<_, 2, 1>::new(
+            n,
+            capacity,
+            || {
+                calls += 1;
+                CasLlSc::new_native(TagLayout::half(), 0).unwrap()
+            },
+            &mut Native,
+        );
+        assert_eq!(calls, (1 + 2) * capacity + n);
+    }
+
+    #[test]
+    fn fresh_records_read_zero_and_link_with_info_zero() {
+        let d = native_domain::<3>(2, 2 * CHUNK + 5);
+        let mut ctx = Native;
+        for rec in 0..d.recs.len() {
+            for f in 0..3 {
+                assert_eq!(d.read_field(&mut ctx, rec, f), 0, "record {rec} field {f}");
+            }
+            let h = d.llx(&mut ctx, rec).expect_linked("fresh");
+            assert_eq!(h.info, 0, "record {rec}");
+            assert_eq!((h.field(0), h.field(1), h.field(2)), (0, 0, 0));
+            d.unlink(&mut ctx, h);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "make_var must return words holding 0")]
+    fn a_factory_word_not_holding_zero_panics() {
+        let _d = LlxDomain::<_, 1, 0>::new(
+            1,
+            2,
+            || CasLlSc::new_native(TagLayout::half(), 1).unwrap(),
+            &mut Native,
+        );
     }
 
     #[test]

@@ -129,12 +129,15 @@ impl<V: LlScVar> OrdMap<V> {
     /// Builds a map for `n` processes with a lifetime budget of
     /// `capacity` records (see [`ordmap_capacity`]). `make_var`
     /// supplies every LL/SC word, as for
-    /// [`Set`](crate::Set)/[`Queue`](crate::Queue).
+    /// [`Set`](crate::Set)/[`Queue`](crate::Queue), and must return
+    /// words holding 0: the whole record arena is built up front, in one
+    /// pass, from `3 · capacity + n` of them ([`LlxDomain::new`]).
     ///
     /// # Panics
     ///
     /// Panics if `capacity < 3` (the sentinels) or the record-index
-    /// encoding does not fit the provider's value width.
+    /// encoding does not fit the provider's value width; in debug builds,
+    /// also if `make_var` returns a word that does not hold 0.
     #[must_use]
     pub fn new(
         n: usize,
