@@ -214,7 +214,8 @@ mod tests {
     #[test]
     fn out_of_order_clock_is_safe() {
         let b = TokenBucket::new(1e6, 2);
-        assert!(b.admit(10_000_000)); // stamp moves to 10 periods
+        // The stamp moves to 10 periods.
+        assert!(b.admit(10_000_000));
         // An earlier timestamp cannot mint tokens or rewind the stamp.
         assert!(b.admit(0)); // spends the remaining initial token
         assert!(!b.admit(0));

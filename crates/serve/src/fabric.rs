@@ -16,10 +16,12 @@
 //!   words behind the [`LlScVar`] trait, so the pipeline runs on any
 //!   registry provider. The producer's push is wait-free on the native
 //!   provider (it is the sole tail writer, so its SC only fails on a
-//!   simulated spurious-RSC provider, which bounds the retry); a pop is
+//!   simulated spurious-RSC provider, which bounds the retry). A pop is
 //!   one LL–SC on the head cursor, uncontended on a sharded ring until
-//!   stealing begins. A shared ring is the same ring popped by every
-//!   worker.
+//!   stealing begins, and never reads the tail: each slot carries the
+//!   lap stamp of the cursor it was filled for, so the slot itself says
+//!   whether it holds the head's request. A shared ring is the same ring
+//!   popped by every worker.
 //! * **Work stealing** ([`ShardRing::steal_into`]) — a worker whose ring
 //!   runs dry picks a victim by seeded rotation and steals *half* the
 //!   victim's queue, committed by a **single SC** on the victim's head
@@ -90,21 +92,31 @@ pub fn shard_for_key(key: u64, shards: usize) -> usize {
 /// A shared ring is this ring popped by every worker, so the argument
 /// below covers both dispatch kinds.
 ///
-/// **Cursor copies.** Each cursor's line also holds that side's copy of
-/// the other side's cursor. A push LLs the tail and checks for room
-/// against its private (Relaxed) head copy; a pop LLs the head and
-/// checks for a pending request against the consumers' shared tail
-/// copy. Only when its copy says full (push) or empty (pop) does a side
-/// read the other's real cursor and refresh the copy. Cursors only
-/// advance, so a copy is a lower bound and a stale one only makes a
-/// check conservative. Each push or pop attempt runs one LL and one SC
-/// on its own cursor; steals read the real tail.
+/// **Lap stamps.** A slot says itself whether it holds the request a
+/// pop wants, as NB-FEB's full/empty bit lives in its word
+/// (arXiv:0811.1304). The top byte of a slot's arrival word is the lap
+/// stamp of the cursor it was filled for, `0x80 | ((cursor / cap) &
+/// 0x7f)`, and the producer stores it last, with Release, before its
+/// tail SC. A pop LLs the head `h`, loads slot `h` with Acquire and
+/// claims it by the head SC only if the stamp is `h`'s. A pop never
+/// reads the tail, so a handoff moves the slot's line to the worker
+/// once and the tail's line stays with the producer. The top bit keeps
+/// a fresh (all-zero) slot from ever matching.
 ///
-/// **Release/Acquire chain.** A consumer stores the tail copy with
-/// Release right after an Acquire read of the real tail (which pairs
-/// with the producer's releasing SC), and every consumer loads it with
-/// Acquire: a consumer trusting another's copy still sees every slot
-/// store below it.
+/// **Head copy.** The tail's line also holds the producer's private
+/// (Relaxed) copy of the head. A push LLs the tail and checks for room
+/// against the copy; only when the copy says full does it read the real
+/// head and refresh the copy. Cursors only advance, so the copy is a
+/// lower bound and a stale one only makes the check conservative. Each
+/// push or pop attempt runs one LL and one SC on its own cursor.
+///
+/// **Head ahead of tail.** A pop can claim a stamped request before the
+/// producer's tail SC lands, so the head may pass the tail by one. Steals
+/// read the real tail and, like [`ShardRing::len`], read a gap above
+/// `cap` as empty. The producer's SC retry (on providers with spurious
+/// failures) repeats LL → SC alone: its request may already be claimed,
+/// so a room check against the real head could see it one ahead and
+/// report a pushed request as "full".
 ///
 /// **Validate-after-read.** Claims read slots between their LL and SC on
 /// the head. The producer overwrites slot `h % cap` only once the tail
@@ -116,46 +128,42 @@ pub fn shard_for_key(key: u64, shards: usize) -> usize {
 ///
 /// **Wrapping cursors.** Cursors wrap modulo `M` (`max_val + 1`, capped
 /// at 2^63 so values above the range can mean "no copy yet"), and every
-/// comparison is a wrapping distance: a tail copy counts only if
-/// `0 < (copy − head) mod M ≤ cap`, a head copy only if
+/// comparison is a wrapping distance: the head copy counts only if
 /// `(tail − copy) mod M < cap`. With `cap` a power of two `≤ M / 2`,
-/// slot indices stay continuous across the wrap and no real distance
-/// aliases. As with Figure 4's wrapping tag, a consumer must not stall
-/// between its tail read and its copy store for `M − cap` claims.
+/// slot indices stay continuous across the wrap, no real distance
+/// aliases, and laps run modulo `M / cap ≥ 2`. A slot a pop reads holds
+/// the request for `h − cap`, `h` or (once the head has moved, failing
+/// the SC) a later lap, and consecutive laps' stamps always differ, as
+/// Figure 4's tag tells one SC from the last.
 #[derive(Debug)]
 pub struct ShardRing<V: LlScVar> {
-    /// Claim cursor, and the consumers' shared copy of the tail.
-    head: CachePadded<Cursor<V>>,
+    /// Claim cursor.
+    head: CachePadded<V>,
     /// Publish cursor (single writer), and the producer's head copy.
-    tail: CachePadded<Cursor<V>>,
+    tail: CachePadded<Tail<V>>,
     /// Slot payloads, indexed by `cursor % capacity`. Plain atomics —
-    /// the cursor protocol is what makes a slot's fields consistent.
+    /// the lap stamp and the head SC make a slot's fields consistent.
     slots: Box<[Slot]>,
     /// `M - 1`: cursor values wrap modulo `M`.
     wrap: u64,
 }
 
-/// A ring cursor and, on its line, this side's copy of the other's.
+/// The tail cursor and, on its line, the producer's copy of the head.
 #[derive(Debug)]
-struct Cursor<V> {
+struct Tail<V> {
     var: V,
-    /// A past value of the other side's cursor; [`UNSEEN`] until taken.
+    /// A past value of the head; [`UNSEEN`] until taken.
     seen: AtomicU64,
 }
 
-/// A cursor copy not yet taken: above every cursor range, never trusted.
+/// A head copy not yet taken: above every cursor range, never trusted.
 const UNSEEN: u64 = u64::MAX;
 
-impl<V> Cursor<V> {
-    fn new(var: V) -> CachePadded<Self> {
-        CachePadded::new(Cursor {
-            var,
-            seen: AtomicU64::new(UNSEEN),
-        })
-    }
-}
+/// Bit position of the lap stamp in a slot's arrival word.
+const STAMP_SHIFT: u32 = 56;
 
-/// One request's fields, stored together (24 B, at most two lines).
+/// One request's fields, stored together (24 B, at most two lines). The
+/// arrival word's top byte is the lap stamp.
 #[derive(Debug, Default)]
 struct Slot {
     arrival: AtomicU64,
@@ -164,15 +172,24 @@ struct Slot {
 }
 
 impl Slot {
-    fn store(&self, r: Request) {
-        self.arrival.store(r.arrival_ns, Ordering::Relaxed);
+    /// Fills the slot for the lap `stamp`: the stamped arrival word goes
+    /// last, with Release, so a pop that sees the stamp sees the fields.
+    fn store(&self, r: Request, stamp: u64) {
         self.service.store(r.service_ns, Ordering::Relaxed);
         self.key.store(r.key, Ordering::Relaxed);
+        self.arrival
+            .store(stamp << STAMP_SHIFT | r.arrival_ns, Ordering::Release);
     }
 
-    fn load(&self) -> Request {
+    /// The stamped arrival word; Acquire pairs with [`Slot::store`].
+    fn stamped(&self) -> u64 {
+        self.arrival.load(Ordering::Acquire)
+    }
+
+    /// The request whose stamped arrival word is `stamped`.
+    fn request(&self, stamped: u64) -> Request {
         Request {
-            arrival_ns: self.arrival.load(Ordering::Relaxed),
+            arrival_ns: stamped & ((1 << STAMP_SHIFT) - 1),
             service_ns: self.service.load(Ordering::Relaxed),
             key: self.key.load(Ordering::Relaxed),
         }
@@ -197,8 +214,11 @@ impl<V: LlScVar> ShardRing<V> {
             "shard ring capacity must be a power of two and at most half the cursor range"
         );
         ShardRing {
-            head: Cursor::new(head),
-            tail: Cursor::new(tail),
+            head: CachePadded::new(head),
+            tail: CachePadded::new(Tail {
+                var: tail,
+                seen: AtomicU64::new(UNSEEN),
+            }),
             slots: (0..capacity).map(|_| Slot::default()).collect(),
             wrap,
         }
@@ -224,11 +244,22 @@ impl<V: LlScVar> ShardRing<V> {
         &self.slots[cursor as usize & (self.slots.len() - 1)]
     }
 
-    /// Requests in flight at the time of the (racy) cursor reads.
+    /// The lap stamp of the request for `cursor`.
+    fn stamp(&self, cursor: u64) -> u64 {
+        0x80 | (cursor >> self.slots.len().trailing_zeros()) & 0x7f
+    }
+
+    /// Requests in flight at the time of the (racy) cursor reads; 0 while
+    /// a popped request's tail SC is still pending.
     pub fn len(&self, ctx: &mut V::Ctx<'_>) -> usize {
-        let h = self.head.var.read(ctx);
+        let h = self.head.read(ctx);
         let t = self.tail.var.read(ctx);
-        self.gap(h, t).min(self.slots.len() as u64) as usize
+        let n = self.gap(h, t);
+        if n > self.slots.len() as u64 {
+            0
+        } else {
+            n as usize
+        }
     }
 
     /// Whether the ring was observed empty.
@@ -244,55 +275,56 @@ impl<V: LlScVar> ShardRing<V> {
     ///
     /// # Panics
     ///
-    /// Panics on the first push if the cursors did not start equal.
+    /// Panics if `r.arrival_ns ≥ 2^56` (the slot's top byte holds the
+    /// lap stamp), and on the first push if the cursors did not start
+    /// equal.
     pub fn try_push(&self, ctx: &mut V::Ctx<'_>, r: Request) -> bool {
+        assert!(
+            r.arrival_ns >> STAMP_SHIFT == 0,
+            "a ring request's arrival_ns must be below 2^56"
+        );
         let cap = self.slots.len() as u64;
         let mut keep = V::Keep::default();
-        loop {
-            let t = self.tail.var.ll(ctx, &mut keep);
-            let seen = self.tail.seen.load(Ordering::Relaxed);
-            if seen > self.wrap || self.gap(seen, t) >= cap {
-                let h = self.head.var.read(ctx);
-                assert!(
-                    seen != UNSEEN || h == t,
-                    "shard ring cursors must start at the same value"
-                );
-                self.tail.seen.store(h, Ordering::Relaxed);
-                if self.gap(h, t) >= cap {
-                    self.tail.var.cl(ctx, &mut keep);
-                    return false;
-                }
-            }
-            self.slot(t).store(r);
-            // Releasing SC publishes the slot stores above.
-            if self.tail.var.sc(ctx, &mut keep, self.advance(t, 1)) {
-                return true;
+        let t = self.tail.var.ll(ctx, &mut keep);
+        let seen = self.tail.seen.load(Ordering::Relaxed);
+        if seen > self.wrap || self.gap(seen, t) >= cap {
+            let h = self.head.read(ctx);
+            assert!(
+                seen != UNSEEN || h == t,
+                "shard ring cursors must start at the same value"
+            );
+            self.tail.seen.store(h, Ordering::Relaxed);
+            if self.gap(h, t) >= cap {
+                self.tail.var.cl(ctx, &mut keep);
+                return false;
             }
         }
+        self.slot(t).store(r, self.stamp(t));
+        // Once stamped, the request may be claimed before the tail moves:
+        // a failed SC retries LL → SC alone (type docs).
+        while !self.tail.var.sc(ctx, &mut keep, self.advance(t, 1)) {
+            let again = self.tail.var.ll(ctx, &mut keep);
+            debug_assert_eq!(again, t, "one pushing thread per ring");
+        }
+        true
     }
 
     /// Claims and returns the request at the head, or `None` if the ring
     /// was observed empty. Lock-free: a failed SC means another claim
     /// (the owner's or a thief's) landed.
     pub fn try_pop(&self, ctx: &mut V::Ctx<'_>) -> Option<Request> {
-        let cap = self.slots.len() as u64;
         let mut keep = V::Keep::default();
         let mut backoff = Backoff::new();
         loop {
-            let h = self.head.var.ll(ctx, &mut keep);
-            // Acquire: pairs with the Release store below, by any consumer.
-            let seen = self.head.seen.load(Ordering::Acquire);
-            if seen > self.wrap || self.gap(h, seen).wrapping_sub(1) >= cap {
-                // Acquire read: synchronizes with the producer's SC.
-                let t = self.tail.var.read(ctx);
-                if self.gap(h, t) == 0 {
-                    self.head.var.cl(ctx, &mut keep);
-                    return None;
-                }
-                self.head.seen.store(t, Ordering::Release);
+            let h = self.head.ll(ctx, &mut keep);
+            let slot = self.slot(h);
+            let stamped = slot.stamped();
+            if stamped >> STAMP_SHIFT != self.stamp(h) {
+                self.head.cl(ctx, &mut keep);
+                return None;
             }
-            let r = self.slot(h).load();
-            if self.head.var.sc(ctx, &mut keep, self.advance(h, 1)) {
+            let r = slot.request(stamped);
+            if self.head.sc(ctx, &mut keep, self.advance(h, 1)) {
                 // SC success validates the slot read (type docs).
                 return Some(r);
             }
@@ -305,24 +337,27 @@ impl<V: LlScVar> ShardRing<V> {
     /// the victim's head cursor. Returns how many requests were stolen —
     /// 0 both for an empty victim and for a lost race (the caller
     /// rotates to the next victim either way; no retry loop here, so a
-    /// thief never spins on a contended victim). Thieves are rare, so a
-    /// steal reads the real tail instead of the shared copy.
+    /// thief never spins on a contended victim). A steal counts queued
+    /// requests on the real tail.
     pub fn steal_into(&self, ctx: &mut V::Ctx<'_>, out: &mut [Request]) -> usize {
         debug_assert!(!out.is_empty());
         let mut keep = V::Keep::default();
-        let h = self.head.var.ll(ctx, &mut keep);
+        let h = self.head.ll(ctx, &mut keep);
         let t = self.tail.var.read(ctx);
         let avail = self.gap(h, t);
-        if avail == 0 {
-            self.head.var.cl(ctx, &mut keep);
+        // Above `cap`: the head passed a pending tail SC, or it moved
+        // since the LL and the SC below would fail anyway.
+        if avail == 0 || avail > self.slots.len() as u64 {
+            self.head.cl(ctx, &mut keep);
             return 0;
         }
         // Steal-half, rounded up so a single queued request is stealable.
         let k = avail.div_ceil(2).min(out.len() as u64);
         for (j, slot) in (0..k).zip(out.iter_mut()) {
-            *slot = self.slot(h.wrapping_add(j)).load();
+            let s = self.slot(h.wrapping_add(j));
+            *slot = s.request(s.stamped());
         }
-        if self.head.var.sc(ctx, &mut keep, self.advance(h, k)) {
+        if self.head.sc(ctx, &mut keep, self.advance(h, k)) {
             record(Event::ServeSteal);
             k as usize
         } else {
@@ -671,31 +706,78 @@ mod tests {
     }
 
     #[test]
-    fn cursors_wrap_past_their_value_range() {
-        let max = TagLayout::half().max_val();
-        let start = max - 2;
-        let at = |v| CasLlSc::new_native(TagLayout::half(), v).unwrap();
-        let ring = ShardRing::new(4, at(start), at(start));
+    fn a_fresh_ring_pops_nothing_from_any_start_cursor() {
+        let narrow = TagLayout::new(32, 3).unwrap();
+        let half = TagLayout::half();
+        let starts = (0..=narrow.max_val()).map(|v| (narrow, v)).chain(
+            [
+                0,
+                1,
+                3,
+                half.max_val() - 3,
+                half.max_val() - 1,
+                half.max_val(),
+            ]
+            .map(|v| (half, v)),
+        );
         let ctx = &mut Native;
         let mut out = [req(0); STEAL_MAX];
-        let (mut next, mut expect) = (0u64, 0u64);
-        // 3 rounds of: fill, steal half, pop the rest — 12 requests, so
-        // both cursors cross the wrap at max + 1 == 0.
-        for _ in 0..3 {
-            while ring.try_push(ctx, req(next)) {
-                next += 1;
+        for (layout, start) in starts {
+            let at = || CasLlSc::new_native(layout, start).unwrap();
+            let ring = ShardRing::new(4, at(), at());
+            assert!(ring.try_pop(ctx).is_none(), "fresh ring at {start}");
+            assert_eq!(ring.steal_into(ctx, &mut out), 0);
+            assert!(ring.is_empty(ctx));
+            assert!(ring.try_push(ctx, req(5)));
+            assert_eq!(ring.try_pop(ctx), Some(req(5)));
+            assert!(ring.try_pop(ctx).is_none(), "drained ring at {start}");
+        }
+    }
+
+    #[test]
+    fn cursors_wrap_past_their_value_range() {
+        // The half layout, and a 3-bit cursor (M = 8) at cap = M / 2,
+        // where laps alternate 0, 1, 0, … and every stamp is tested.
+        for layout in [TagLayout::half(), TagLayout::new(32, 3).unwrap()] {
+            let max = layout.max_val();
+            let start = max - 2;
+            let at = |v| CasLlSc::new_native(layout, v).unwrap();
+            let ring = ShardRing::new(4, at(start), at(start));
+            let ctx = &mut Native;
+            let mut out = [req(0); STEAL_MAX];
+            let (mut next, mut expect) = (0u64, 0u64);
+            // 6 rounds of: fill, steal half, pop the rest — 24 requests,
+            // so both cursors cross the wrap at max + 1 == 0. A stale
+            // slot whose stamp aliased the head's would pop out of order.
+            for _ in 0..6 {
+                while ring.try_push(ctx, req(next)) {
+                    next += 1;
+                }
+                assert_eq!(ring.len(ctx), 4, "full at capacity across the wrap");
+                assert_eq!(ring.steal_into(ctx, &mut out), 2);
+                assert_eq!(out[..2], [req(expect), req(expect + 1)]);
+                expect += 2;
+                while let Some(r) = ring.try_pop(ctx) {
+                    assert_eq!(r, req(expect), "FIFO across the wrap");
+                    expect += 1;
+                }
             }
-            assert_eq!(ring.len(ctx), 4, "full at capacity across the wrap");
-            assert_eq!(ring.steal_into(ctx, &mut out), 2);
-            assert_eq!(out[..2], [req(expect), req(expect + 1)]);
-            expect += 2;
-            while let Some(r) = ring.try_pop(ctx) {
-                assert_eq!(r, req(expect), "FIFO across the wrap");
-                expect += 1;
+            assert_eq!((next, expect), (24, 24), "each request delivered once");
+            assert_eq!(ring.head.read(ctx), start.wrapping_add(24) & max);
+            for c in 0..=max.min(1 << 12) {
+                let later = ring.advance(c, 4);
+                assert_ne!(ring.stamp(c), ring.stamp(later), "laps of {c} and {later}");
             }
         }
-        assert_eq!((next, expect), (12, 12), "each request delivered once");
-        assert_eq!(ring.head.var.read(ctx), start.wrapping_add(12) & max);
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^56")]
+    fn arrival_times_must_leave_the_stamp_byte_free() {
+        let ring = ShardRing::new(4, var(), var());
+        let mut r = req(0);
+        r.arrival_ns = 1 << 56;
+        ring.try_push(&mut Native, r);
     }
 
     #[test]

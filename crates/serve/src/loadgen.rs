@@ -28,7 +28,10 @@ use nbsp_memsim::rng::SplitMix64;
 /// One generated request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Request {
-    /// Intended arrival time, virtual nanoseconds since run start.
+    /// Intended arrival time, virtual nanoseconds since run start. A
+    /// request pushed into a [`ShardRing`](crate::ShardRing) must arrive
+    /// before 2^56 ns (about 2.3 years): the ring keeps a lap stamp in
+    /// the word's top byte, and its push panics otherwise.
     pub arrival_ns: u64,
     /// Seeded service demand in virtual nanoseconds (how long one
     /// virtual worker is occupied executing it).
@@ -234,7 +237,12 @@ impl LoadGen {
     ///
     /// As [`LoadGen::new`]; also panics on a zero key space.
     #[must_use]
-    pub fn new_keyed(seed: u64, process: ArrivalProcess, service_mean_ns: f64, dist: KeyDist) -> Self {
+    pub fn new_keyed(
+        seed: u64,
+        process: ArrivalProcess,
+        service_mean_ns: f64,
+        dist: KeyDist,
+    ) -> Self {
         let mut g = LoadGen::new(seed, process, service_mean_ns);
         g.keys = Some(KeySampler::new(seed, dist));
         g

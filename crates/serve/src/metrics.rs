@@ -318,12 +318,18 @@ mod tests {
         b[sojourn_bucket(900)] = 49;
         b[sojourn_bucket(500_000)] = 1;
         assert_eq!(percentile_ns(&b, 0.5), bucket_upper_ns(sojourn_bucket(3)));
-        assert_eq!(percentile_ns(&b, 0.95), bucket_upper_ns(sojourn_bucket(900)));
+        assert_eq!(
+            percentile_ns(&b, 0.95),
+            bucket_upper_ns(sojourn_bucket(900))
+        );
         assert_eq!(
             percentile_ns(&b, 0.999),
             bucket_upper_ns(sojourn_bucket(500_000))
         );
-        assert_eq!(percentile_ns(&b, 1.0), bucket_upper_ns(sojourn_bucket(500_000)));
+        assert_eq!(
+            percentile_ns(&b, 1.0),
+            bucket_upper_ns(sojourn_bucket(500_000))
+        );
         assert_eq!(percentile_ns(&[0; SOJOURN_BUCKETS], 0.99), 0);
     }
 

@@ -4,11 +4,14 @@
 //! cursors, the directory and the admission stripes all run on the
 //! provider under test), plus real-thread stresses on `ShardRing`
 //! proving that neither concurrent pops nor the steal-half SC commit
-//! ever duplicate, lose or tear a request.
+//! ever duplicate, lose or tear a request, and two schedule-hook tests
+//! that park the producer inside a push.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
-use nbsp::core::{for_each_provider, CasLlSc, Native, Provider, TagLayout};
+use nbsp::core::{for_each_provider, CasLlSc, LlScVar, Native, Provider, TagLayout};
+use nbsp::memsim::sched::{self, AccessKind, Decision, SchedulePoint};
 use nbsp::serve::fabric::{ShardRing, STEAL_MAX};
 use nbsp::serve::{
     run_cell_as, AdmissionConfig, ArrivalProcess, CellConfig, Dispatch, Pool, Request, Workload,
@@ -235,6 +238,172 @@ fn every_request_consumed_exactly_once() {
             "capacity {capacity}"
         );
     }
+}
+
+/// A schedule hook that parks its thread at the first access of one kind
+/// until the test releases it, then answers that access with `answer`.
+struct ParkFirst {
+    kind: AccessKind,
+    answer: Decision,
+    parked: AtomicBool,
+    released: AtomicBool,
+}
+
+impl ParkFirst {
+    fn new(kind: AccessKind, answer: Decision) -> Arc<Self> {
+        Arc::new(ParkFirst {
+            kind,
+            answer,
+            parked: AtomicBool::new(false),
+            released: AtomicBool::new(false),
+        })
+    }
+}
+
+/// Releases a parked producer when dropped, so a failed assertion while
+/// it is parked fails the test instead of hanging it.
+struct ReleaseOnDrop<'a>(&'a ParkFirst);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.released.store(true, Ordering::Release);
+    }
+}
+
+impl SchedulePoint for ParkFirst {
+    fn yield_point(&self, _addr: usize, kind: AccessKind) -> Decision {
+        if kind != self.kind || self.parked.swap(true, Ordering::AcqRel) {
+            return Decision::Proceed;
+        }
+        while !self.released.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        self.answer
+    }
+}
+
+/// Runs `push` on a thread whose first access of `hook.kind` parks, runs
+/// `while_parked` on this thread meanwhile, then releases the producer
+/// and returns what its push returned.
+fn push_parked(
+    hook: &Arc<ParkFirst>,
+    push: impl FnOnce() -> bool + Send,
+    while_parked: impl FnOnce(),
+) -> bool {
+    std::thread::scope(|s| {
+        let producer = s.spawn(|| {
+            let _guard = sched::install(hook.clone());
+            push()
+        });
+        let release = ReleaseOnDrop(hook);
+        while !hook.parked.load(Ordering::Acquire) && !producer.is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(
+            hook.parked.load(Ordering::Acquire),
+            "the push never reached the parked access"
+        );
+        while_parked();
+        drop(release);
+        producer.join().expect("producer panicked")
+    })
+}
+
+/// A pop claims a stamped request before its tail SC lands, which leaves
+/// the head one past the tail: the producer's first CAS on a Figure-4
+/// native push is that SC, parked here. A thief or `len` that read the
+/// wrapped gap as a queue would steal 32 stale slots.
+#[test]
+fn a_pop_that_passes_a_pending_tail_sc_leaves_nothing_to_steal() {
+    let native = || CasLlSc::new_native(TagLayout::half(), 0).unwrap();
+    let ring = ShardRing::new(4, native(), native());
+    let hook = ParkFirst::new(AccessKind::Cas, Decision::Proceed);
+    let mut stash = [seq_request(0); STEAL_MAX];
+    let ctx = &mut Native;
+    let push = || ring.try_push(&mut Native, seq_request(1));
+    let pushed = push_parked(&hook, push, || {
+        let ctx = &mut Native;
+        assert_eq!(
+            ring.try_pop(ctx),
+            Some(seq_request(1)),
+            "stamped, so claimable"
+        );
+        assert_eq!(
+            ring.steal_into(ctx, &mut stash),
+            0,
+            "head ahead of tail is empty"
+        );
+        assert_eq!(ring.len(ctx), 0);
+        assert!(ring.try_pop(ctx).is_none());
+    });
+    assert!(pushed, "the parked push lands");
+    assert!(ring.try_pop(ctx).is_none(), "consumed exactly once");
+    assert_eq!(ring.steal_into(ctx, &mut stash), 0);
+    assert_eq!(ring.len(ctx), 0);
+    assert!(ring.try_push(ctx, seq_request(2)));
+    assert_eq!(ring.len(ctx), 1);
+    assert_eq!(ring.try_pop(ctx), Some(seq_request(2)));
+}
+
+/// Figure 4 over native CAS whose SC first yields as an RSC, so a
+/// schedule hook can fail it spuriously. (The registry's RLL/RSC entries
+/// absorb spurious failures inside their own SC.)
+#[derive(Debug)]
+struct SpuriousSc(CasLlSc<Native>);
+
+impl LlScVar for SpuriousSc {
+    type Keep = <CasLlSc<Native> as LlScVar>::Keep;
+    type Ctx<'a> = Native;
+
+    fn ll(&self, ctx: &mut Native, keep: &mut Self::Keep) -> u64 {
+        LlScVar::ll(&self.0, ctx, keep)
+    }
+
+    fn vl(&self, ctx: &mut Native, keep: &Self::Keep) -> bool {
+        LlScVar::vl(&self.0, ctx, keep)
+    }
+
+    fn sc(&self, ctx: &mut Native, keep: &mut Self::Keep, new: u64) -> bool {
+        let addr = std::ptr::from_ref(self) as usize;
+        if sched::yield_point(addr, AccessKind::Rsc) == Decision::SpuriousFail {
+            LlScVar::cl(&self.0, ctx, keep);
+            return false;
+        }
+        LlScVar::sc(&self.0, ctx, keep, new)
+    }
+
+    fn cl(&self, ctx: &mut Native, keep: &mut Self::Keep) {
+        LlScVar::cl(&self.0, ctx, keep);
+    }
+
+    fn read(&self, ctx: &mut Native) -> u64 {
+        LlScVar::read(&self.0, ctx)
+    }
+
+    fn max_val(&self) -> u64 {
+        LlScVar::max_val(&self.0)
+    }
+}
+
+/// The producer's tail SC fails spuriously after its request was
+/// stamped and claimed. The retry must repeat LL → SC alone: a room
+/// check against the real head would see it one past the tail, report
+/// "full", and the caller would push the request a second time.
+#[test]
+fn a_spurious_tail_sc_failure_after_the_claim_still_pushes_once() {
+    let var = || SpuriousSc(CasLlSc::new_native(TagLayout::half(), 0).unwrap());
+    let ring = ShardRing::new(4, var(), var());
+    let hook = ParkFirst::new(AccessKind::Rsc, Decision::SpuriousFail);
+    let ctx = &mut Native;
+    let push = || ring.try_push(&mut Native, seq_request(1));
+    let pushed = push_parked(&hook, push, || {
+        assert_eq!(ring.try_pop(&mut Native), Some(seq_request(1)));
+    });
+    assert!(pushed, "a claimed request was pushed, not refused as full");
+    assert!(ring.try_pop(ctx).is_none(), "consumed exactly once");
+    assert_eq!(ring.len(ctx), 0);
+    assert!(ring.try_push(ctx, seq_request(2)));
+    assert_eq!(ring.try_pop(ctx), Some(seq_request(2)));
 }
 
 /// The request with sequence number `n`: every field is a distinct
